@@ -39,7 +39,7 @@ print("commutes:", check_commutes(diagram, result.cocone))
 # in exactly the shared vertex (strong amalgamation), and the cross edge
 # is a free choice.
 f = Embedding(k1, k2, (0,))
-search = amalgamate(k1, k2, k2, f, f, strong=True)
+search = amalgamate(k1, k2, k2, f, f)
 print("\nstrong amalgam of two edges over a point:", search.result.amalgam)
 
 # Class-level property checks, exhaustive up to a size bound.

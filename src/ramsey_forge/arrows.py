@@ -154,8 +154,7 @@ def _arrow_instance(c: FinStructure, b: FinStructure, a: FinStructure):
 
 
 def check_arrow(c: FinStructure, b: FinStructure, a: FinStructure,
-                k: int, t: int, budget: int = DEFAULT_BUDGET,
-                symmetry_reduction: bool = False) -> ArrowVerdict:
+                k: int, t: int, budget: int = DEFAULT_BUDGET) -> ArrowVerdict:
     """Decide ``C -> (B)^A_{k,t}``.
 
     Searches for a bad coloring by depth-first assignment over hom(A, C),
@@ -166,13 +165,6 @@ def check_arrow(c: FinStructure, b: FinStructure, a: FinStructure,
     full assignment therefore yields a bad coloring, and exhausting the
     tree proves the arrow.  The returned witness is the first bad coloring
     in this fixed search order, so verdicts are deterministic.
-
-    With ``symmetry_reduction`` the search additionally discards branches
-    whose partial coloring is provably not minimal in its orbit under the
-    automorphisms of C acting on hom(A, C).  Badness is orbit-invariant,
-    and the minimum of a bad orbit under the combined color-relabeling and
-    automorphism action survives both prunings, so the verdict is
-    unchanged; the witness may differ from the unreduced one.
     """
     if k < 1 or t < 1:
         raise ValueError("k and t must be >= 1")
@@ -196,40 +188,10 @@ def check_arrow(c: FinStructure, b: FinStructure, a: FinStructure,
             membership[e].append(gi)
     order = sorted(range(n), key=lambda e: (-len(membership[e]), e))
 
-    # automorphisms of C permute hom(A, C); expressed in search positions
-    # they drive the orbit-minimality pruning
-    position_perms: list[tuple[int, ...]] = []
-    if symmetry_reduction:
-        from .structures import automorphisms
-
-        index = {e.map: i for i, e in enumerate(hom_ac)}
-        searchpos = {e: i for i, e in enumerate(order)}
-        for alpha in automorphisms(c):
-            perm = tuple(
-                searchpos[index[tuple(alpha.map[v] for v in hom_ac[order[i]].map)]]
-                for i in range(n))
-            if perm != tuple(range(n)):
-                position_perms.append(perm)
-
-    def orbit_prunable(depth: int, seq: list[int]) -> bool:
-        """True when some automorphism mate of the assigned prefix is
-        lexicographically smaller, deciding every completion."""
-        for perm in position_perms:
-            for i in range(depth + 1):
-                j = perm[i]
-                if j > depth:
-                    break  # mate undefined here; cannot decide
-                if seq[j] < seq[i]:
-                    return True
-                if seq[j] > seq[i]:
-                    break
-        return False
-
     unassigned = [len(g) for g in groups]
     distinct = [0] * len(groups)
     color_mask = [0] * len(groups)
     colors = [-1] * n
-    seq = [-1] * n  # same assignment in search-position indexing
     nodes = 0
     found: tuple[int, ...] | None = None
 
@@ -258,16 +220,11 @@ def check_arrow(c: FinStructure, b: FinStructure, a: FinStructure,
                 d = distinct[gi]
                 if d + min(unassigned[gi], k - d) <= t:
                     dead = True
-            if not dead and position_perms:
-                seq[pos] = col
-                dead = orbit_prunable(pos, seq)
             result: bool | None = False
             if not dead:
                 colors[e] = col
-                seq[pos] = col
                 result = search(pos + 1, max(max_used, col))
                 colors[e] = -1
-            seq[pos] = -1
             for gi, fresh in touched:
                 unassigned[gi] += 1
                 if fresh:
@@ -333,8 +290,15 @@ def exhaustive_min_degree(c: FinStructure, b: FinStructure, a: FinStructure,
 
 
 def exhaustive_check_arrow(c: FinStructure, b: FinStructure, a: FinStructure,
-                           k: int, t: int) -> bool:
-    """Oracle form of :func:`check_arrow` by full coloring enumeration."""
+                           k: int, t: int, budget: int = DEFAULT_BUDGET
+                           ) -> bool | None:
+    """Oracle form of :func:`check_arrow` by full coloring enumeration.
+
+    Returns None, without enumerating, when the ``k ** |hom(A, C)|``
+    colorings exceed ``budget``.
+    """
+    if k ** len(_hom_for_pattern(a, c)) > budget:
+        return None
     return t >= exhaustive_min_degree(c, b, a, k)
 
 

@@ -41,29 +41,25 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Execution knobs shared by all subcommands.
-
-    All operations are pure and single-threaded; the thread count is
-    validated and recorded for interface compatibility but execution stays
-    sequential, which makes determinism trivial.
-    """
+    """Execution knobs shared by all subcommands."""
 
     budget: int = arrows.DEFAULT_BUDGET
-    threads: int = 1
     fmt: str = "json"
 
     def __post_init__(self) -> None:
         if self.budget < 1:
             raise UsageError("budget must be >= 1")
-        if self.threads < 1:
-            raise UsageError("threads must be >= 1")
         if self.fmt not in ("json", "text", "dot"):
             raise UsageError(f"unknown output format {self.fmt!r}")
 
 
 def _load_config_file(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read config {path}: {exc}") from exc
     out: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -74,24 +70,29 @@ def _load_config_file(path: str) -> dict[str, str]:
     return out
 
 
+def _parse_budget(text: str, source: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{source}: budget must be an integer, "
+                         f"got {text!r}") from None
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     budget = arrows.DEFAULT_BUDGET
-    threads = 1
     fmt = "json"
     if getattr(args, "config", None):
         doc = _load_config_file(args.config)
-        budget = int(doc.get("budget", budget))
-        threads = int(doc.get("threads", threads))
+        if "budget" in doc:
+            budget = _parse_budget(doc["budget"], args.config)
         fmt = doc.get("format", fmt)
     if os.environ.get(BUDGET_ENV):
-        budget = int(os.environ[BUDGET_ENV])
+        budget = _parse_budget(os.environ[BUDGET_ENV], BUDGET_ENV)
     if getattr(args, "budget", None) is not None:
         budget = args.budget
-    if getattr(args, "threads", None) is not None:
-        threads = args.threads
     if getattr(args, "format", None) is not None:
         fmt = args.format
-    return RunConfig(budget, threads, fmt)
+    return RunConfig(budget, fmt)
 
 
 def _emit(doc: dict, config: RunConfig) -> None:
@@ -126,23 +127,26 @@ def _parse_set(text: str) -> metric.DistanceSet:
         raise UsageError(f"bad distance set {text!r}: {exc}") from exc
 
 
-def _frac_str(v: Fraction):
-    return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_arrow(args: argparse.Namespace, config: RunConfig) -> int:
+    if args.k < 1 or args.t < 1:
+        raise UsageError("-k and -t must be >= 1")
     c = _read_structure(args.C)
     b = _read_structure(args.B)
     a = _read_structure(args.A)
-    if args.oracle:
-        holds = arrows.exhaustive_check_arrow(c, b, a, args.k, args.t)
-        verdict = arrows.ArrowVerdict(holds=holds)
-    else:
-        verdict = arrows.check_arrow(c, b, a, args.k, args.t, budget=config.budget)
+    try:
+        if args.oracle:
+            holds = arrows.exhaustive_check_arrow(c, b, a, args.k, args.t,
+                                                  budget=config.budget)
+            verdict = arrows.ArrowVerdict(holds=holds)
+        else:
+            verdict = arrows.check_arrow(c, b, a, args.k, args.t,
+                                         budget=config.budget)
+    except structures.SignatureMismatchError as exc:
+        raise UsageError(f"structures do not fit together: {exc}") from exc
     doc: dict = {
         "check": "arrow",
         "k": args.k,
@@ -233,7 +237,10 @@ def _cmd_universe_gen(args: argparse.Namespace, config: RunConfig) -> int:
     if kind not in universes.KINDS:
         raise UsageError(f"unknown kind {args.kind!r}; "
                          f"known: {', '.join(k.replace('_', '-') for k in universes.KINDS)}")
-    segment = universes.generate(kind, args.n)
+    try:
+        segment = universes.generate(kind, args.n)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     doc = structures.structure_to_dict(segment)
     text = (structures.structure_to_dot(segment) if args.dot
             else json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -251,7 +258,10 @@ def _cmd_universe_audit(args: argparse.Namespace, config: RunConfig) -> int:
     klass = catalog.CLASSES.get(args.klass)
     if klass is None:
         raise UsageError(f"unknown class {args.klass!r}")
-    report = universes.check_universal(kind, klass, args.max_size, args.N)
+    try:
+        report = universes.check_universal(kind, klass, args.max_size, args.N)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     doc = {
         "check": "universality",
         "kind": args.kind,
@@ -276,15 +286,15 @@ def _cmd_metric_analyze(args: argparse.Namespace, config: RunConfig) -> int:
     four, four_ce = metric.check_4values(dset)
     doc = {
         "check": "distance-set",
-        "set": [_frac_str(v) for v in dset.values],
-        "jumps": [_frac_str(v) for v in bp.jumps],
-        "blocks": [[_frac_str(v) for v in blk] for blk in bp.blocks],
+        "set": [metric.frac_str(v) for v in dset.values],
+        "jumps": [metric.frac_str(v) for v in bp.jumps],
+        "blocks": [[metric.frac_str(v) for v in blk] for blk in bp.blocks],
         "compact": compact,
         "compact_counterexample": (None if compact_ce is None
-                                   else [_frac_str(v) for v in compact_ce]),
+                                   else [metric.frac_str(v) for v in compact_ce]),
         "four_values": four,
         "four_values_counterexample": (None if four_ce is None
-                                       else [_frac_str(v) for v in four_ce]),
+                                       else [metric.frac_str(v) for v in four_ce]),
     }
     _emit(doc, config)
     return EXIT_OK if compact and four else EXIT_FAIL
@@ -324,8 +334,8 @@ def _cmd_metric_star(args: argparse.Namespace, config: RunConfig) -> int:
         "base_size": star.base_size,
         "classes": [list(c) for c in star.classes],
         "class_points": list(star.class_points),
-        "eps": _frac_str(star.choice.eps),
-        "zeta": _frac_str(star.choice.zeta),
+        "eps": metric.frac_str(star.choice.eps),
+        "zeta": metric.frac_str(star.choice.zeta),
     }
     _emit(doc, config)
     return EXIT_OK
@@ -375,8 +385,6 @@ def build_parser() -> _Parser:
                      description="finite-structure workbench")
     parser.add_argument("--config", help="flat key=value configuration file")
     parser.add_argument("--budget", type=int, help="search-node budget")
-    parser.add_argument("--threads", type=int, help="worker count (recorded; "
-                        "execution is sequential and deterministic)")
     parser.add_argument("--format", choices=["json", "text", "dot"],
                         help="output format")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -7,11 +7,13 @@ leg per top vertex making every bottom span agree.
 
 Cocone tips are generated as the quotient of the disjoint union of the top
 objects by the identifications the bottom spans force, then completed by
-enumerating relation choices on undetermined tuples.  Point merging beyond
-the forced quotient is never attempted: for hereditary class predicates
-(every built-in class here is hereditary) a cocone exists on such a tip
-whenever one exists at all, after restricting to the union of leg images.
-The same pushout discipline drives :func:`amalgamate`.
+enumerating relation choices on undetermined tuples.  An amalgam of
+``B <-f- A -g-> C`` is the same construction over a one-span diagram, and
+joint embedding is amalgamation over the empty structure, so one pushout
+routine serves :func:`find_cocone` and :func:`amalgamate`.  Only forced
+quotients are tried: merging points beyond what the spans force is never
+attempted, so a search that finds nothing does not prove that no cocone
+or amalgam exists.
 """
 
 from __future__ import annotations
@@ -110,11 +112,6 @@ class StructDiagram:
             if emb.source != self.bottom_objects[s] or emb.target != self.top_objects[t]:
                 raise ValueError(f"arrow ({s},{t}) carries a mismatched embedding")
 
-    def is_ab_diagram(self) -> bool:
-        tops = set(self.top_objects)
-        bottoms = set(self.bottom_objects)
-        return len(tops) <= 1 and len(bottoms) <= 1
-
 
 def ab_diagram(a: FinStructure, b: FinStructure,
                spans: Sequence[tuple[Sequence[int], Sequence[int], int, int]],
@@ -160,7 +157,77 @@ class CoconeSearch:
 
 
 # ---------------------------------------------------------------------------
-# relation completion machinery (shared by cocone search and amalgamation)
+# pushout machinery (shared by cocone search and amalgamation)
+
+
+def _pushout(tops: Sequence[FinStructure],
+             glue: Sequence[tuple[int, Sequence[int], int, Sequence[int]]]
+             ) -> tuple[int, list[tuple[int, ...]]] | None:
+    """Quotient of the disjoint union of ``tops`` by the glue entries.
+
+    Each glue entry ``(i, u, j, v)`` says that point ``u[x]`` of top ``i``
+    is point ``v[x]`` of top ``j``.  Tip points are numbered in order of
+    first appearance, top by top.  Returns the tip size and one leg map per
+    top, or None when two points of one top would merge.
+    """
+    offsets = list(itertools.accumulate((s.size for s in tops), initial=0))
+    parent = list(range(offsets[-1]))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, u, j, v in glue:
+        for p, q in zip(u, v):
+            rx, ry = find(offsets[i] + p), find(offsets[j] + q)
+            if rx != ry:
+                parent[max(rx, ry)] = min(rx, ry)
+
+    number: dict[int, int] = {}
+    legs = []
+    for ti, s in enumerate(tops):
+        leg = tuple(number.setdefault(find(offsets[ti] + v), len(number))
+                    for v in range(s.size))
+        if len(set(leg)) != s.size:
+            return None
+        legs.append(leg)
+    return len(number), legs
+
+
+def _forced_relations(tops: Sequence[FinStructure],
+                      legs: Sequence[tuple[int, ...]], size: int
+                      ) -> tuple[list[set[tuple[int, ...]]], list[int]] | None:
+    """Relation values the legs force on a tip of ``size`` points.
+
+    A tuple whose points all lie in one top's image is determined by that
+    top.  Returns the forced positive tuples per relation and, per tip
+    point, a bitmask of the tops whose image contains it; None when a tuple
+    from one top lands in another top's image where that top says it is
+    absent.
+    """
+    covers = [0] * size
+    for ti, leg in enumerate(legs):
+        for p in leg:
+            covers[p] |= 1 << ti
+    inverses = [{p: v for v, p in enumerate(leg)} for leg in legs]
+    base: list[set[tuple[int, ...]]] = []
+    for ri in range(len(tops[0].relations)):
+        forced: set[tuple[int, ...]] = set()
+        for ti, (s, leg) in enumerate(zip(tops, legs)):
+            for t in s.relations[ri]:
+                image = tuple(leg[v] for v in t)
+                forced.add(image)
+                inside = ~(1 << ti)
+                for p in image:
+                    inside &= covers[p]
+                for tj, inv in enumerate(inverses):
+                    if (inside >> tj & 1 and tuple(inv[p] for p in image)
+                            not in tops[tj].relations[ri]):
+                        return None
+        base.append(forced)
+    return base, covers
 
 
 def _slot_options(tag: str, x: int, y: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -175,25 +242,25 @@ def _slot_options(tag: str, x: int, y: int) -> list[tuple[tuple[int, ...], ...]]
 
 
 def _complete_structures(signature: Signature, size: int,
-                         determined: list[dict[tuple[int, ...], bool]],
+                         base: list[set[tuple[int, ...]]], covers: list[int],
                          predicate: Callable[[FinStructure], bool] | None
                          ) -> Iterator[FinStructure]:
-    """All valid structures extending the determined part, enumerated with
-    sparser relation choices first."""
+    """All valid structures extending the forced tuples ``base``, enumerated
+    with sparser relation choices first.  A tuple is open when no single top
+    covers all of its points (the AND of their ``covers`` masks is 0)."""
     slot_axes: list[tuple[int, list[tuple[tuple[int, ...], ...]]]] = []
-    base: list[set[tuple[int, ...]]] = []
     for ri, spec in enumerate(signature.relations):
-        pos = {t for t, present in determined[ri].items() if present}
-        base.append(pos)
         if spec.arity == 2:
             for x in range(size):
                 for y in range(x + 1, size):
-                    if (x, y) in determined[ri] or (y, x) in determined[ri]:
-                        continue
-                    slot_axes.append((ri, _slot_options(spec.tag, x, y)))
+                    if not covers[x] & covers[y]:
+                        slot_axes.append((ri, _slot_options(spec.tag, x, y)))
         else:
             for t in itertools.product(range(size), repeat=spec.arity):
-                if t not in determined[ri]:
+                mask = -1
+                for p in t:
+                    mask &= covers[p]
+                if not mask:
                     slot_axes.append((ri, [(), (t,)]))
 
     for choice in itertools.product(*(options for _, options in slot_axes)):
@@ -213,84 +280,41 @@ def _complete_structures(signature: Signature, size: int,
 def find_cocone(diagram: StructDiagram, max_tip_size: int,
                 class_predicate: Callable[[FinStructure], bool] | None = None
                 ) -> CoconeSearch:
-    """Search for a commuting cocone over canonical tip candidates.
+    """Search for a commuting cocone on the forced quotient.
 
     The tip point set is the quotient of the disjoint union of top objects
     by the identifications forced by the bottom spans; candidates differ
-    only in the relations chosen on tuples no top object determines.  Two
-    outcomes are proofs: a forced merge inside one top object, or
-    contradictory forced relations, make a cocone impossible outright.
-    Exhausting the candidate space without a hit is reported separately
-    from exceeding ``max_tip_size``.
+    only in the relations chosen on tuples no top object determines.  Only
+    this forced quotient is tried: a cocone that identifies further points
+    is never found, so ``exhausted`` and ``none-within-bound`` do not prove
+    that no cocone exists.  (Two copies of K2 glued at a point, with
+    ``max_tip_size`` 2, give ``none-within-bound``, yet identity legs into
+    K2 commute.)  Two outcomes are proofs: a forced merge inside one top
+    object, or contradictory forced relations, make a cocone impossible
+    outright.
     """
     shape = diagram.shape
     tops = diagram.top_objects
     if shape.n_top == 0:
         raise ValueError("diagram has no top objects")
-    signature = tops[0].signature
 
-    offsets = []
-    total = 0
-    for s in tops:
-        offsets.append(total)
-        total += s.size
-    parent = list(range(total))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
+    glue = []
     for b in range(shape.n_bottom):
         a1, a2 = shape.arrows_of(b)
-        t1, t2 = shape.arrows[a1][1], shape.arrows[a2][1]
-        e1, e2 = diagram.arrow_maps[a1], diagram.arrow_maps[a2]
-        for v in range(diagram.bottom_objects[b].size):
-            union(offsets[t1] + e1.map[v], offsets[t2] + e2.map[v])
-
-    # a forced merge of two points of the same top object kills injectivity
-    reps: dict[int, int] = {}
-    class_of = [0] * total
-    for ti, s in enumerate(tops):
-        seen: dict[int, int] = {}
-        for v in range(s.size):
-            r = find(offsets[ti] + v)
-            if r in seen:
-                return CoconeSearch(IMPOSSIBLE)
-            seen[r] = v
-            if r not in reps:
-                reps[r] = len(reps)
-            class_of[offsets[ti] + v] = reps[r]
-    q = len(reps)
+        glue.append((shape.arrows[a1][1], diagram.arrow_maps[a1].map,
+                     shape.arrows[a2][1], diagram.arrow_maps[a2].map))
+    pushout = _pushout(tops, glue)
+    if pushout is None:
+        return CoconeSearch(IMPOSSIBLE)
+    q, legs_maps = pushout
     if q > max_tip_size:
         return CoconeSearch(NONE_WITHIN_BOUND)
+    forced = _forced_relations(tops, legs_maps, q)
+    if forced is None:
+        return CoconeSearch(IMPOSSIBLE)
 
-    legs_maps = [tuple(class_of[offsets[ti] + v] for v in range(s.size))
-                 for ti, s in enumerate(tops)]
-
-    # forced relation values: positive from each top's tuples, negative from
-    # reflection on tuples a single top covers completely
-    determined: list[dict[tuple[int, ...], bool]] = [dict() for _ in signature.relations]
-    for ri, spec in enumerate(signature.relations):
-        for ti, s in enumerate(tops):
-            in_top = {}
-            for v in range(s.size):
-                in_top[legs_maps[ti][v]] = v
-            for t in itertools.product(sorted(in_top), repeat=spec.arity):
-                val = tuple(in_top[cls] for cls in t) in s.relations[ri]
-                prev = determined[ri].get(t)
-                if prev is None:
-                    determined[ri][t] = val
-                elif prev != val:
-                    return CoconeSearch(IMPOSSIBLE)
-
-    for tip in _complete_structures(signature, q, determined, class_predicate):
+    for tip in _complete_structures(tops[0].signature, q, *forced,
+                                    class_predicate):
         legs = tuple(Embedding(s, tip, legs_maps[ti], _checked=True)
                      for ti, s in enumerate(tops))
         for ti, s in enumerate(tops):
@@ -319,8 +343,7 @@ class AmalgamSearch:
 
 
 def enumerate_amalgams(a: FinStructure, b: FinStructure, c: FinStructure,
-                       f: Embedding, g: Embedding, strong: bool = False,
-                       bound: int | None = None,
+                       f: Embedding, g: Embedding, bound: int | None = None,
                        predicate: Callable[[FinStructure], bool] | None = None
                        ) -> Iterator[Amalgam]:
     """All pushout-shaped amalgams of the span ``B <-f- A -g-> C``.
@@ -333,37 +356,15 @@ def enumerate_amalgams(a: FinStructure, b: FinStructure, c: FinStructure,
     """
     if f.source != a or g.source != a or f.target != b or g.target != c:
         raise StructureError("amalgamate: span embeddings do not match A, B, C")
-    signature = b.signature
-    size = b.size + c.size - a.size
-    if bound is not None and size > bound:
+    if bound is not None and b.size + c.size - a.size > bound:
         return
+    # f and g are injective, so no point of B or C merges with another
+    size, (b_to_d, c_map) = _pushout((b, c), [(0, f.map, 1, g.map)])
+    forced = _forced_relations((b, c), (b_to_d, c_map), size)
+    if forced is None:
+        return  # f and g disagree on the shared part; no amalgam
 
-    g_image = {g.map[v]: v for v in range(a.size)}
-    c_to_d = {}
-    fresh = b.size
-    for w in range(c.size):
-        if w in g_image:
-            c_to_d[w] = f.map[g_image[w]]
-        else:
-            c_to_d[w] = fresh
-            fresh += 1
-    b_to_d = tuple(range(b.size))
-    c_map = tuple(c_to_d[w] for w in range(c.size))
-
-    determined: list[dict[tuple[int, ...], bool]] = [dict() for _ in signature.relations]
-    for ri, spec in enumerate(signature.relations):
-        for t in itertools.product(range(b.size), repeat=spec.arity):
-            determined[ri][t] = t in b.relations[ri]
-        inv_c = {c_map[w]: w for w in range(c.size)}
-        for t in itertools.product(sorted(inv_c), repeat=spec.arity):
-            val = tuple(inv_c[p] for p in t) in c.relations[ri]
-            prev = determined[ri].get(t)
-            if prev is None:
-                determined[ri][t] = val
-            elif prev != val:
-                return  # f and g disagree on the shared part; no amalgam
-
-    for d in _complete_structures(signature, size, determined, predicate):
+    for d in _complete_structures(b.signature, size, *forced, predicate):
         fp = Embedding(b, d, b_to_d, _checked=True)
         gp = Embedding(c, d, c_map, _checked=True)
         assert is_embedding(fp.map, b, d) and is_embedding(gp.map, c, d)
@@ -375,15 +376,14 @@ def enumerate_amalgams(a: FinStructure, b: FinStructure, c: FinStructure,
 
 
 def amalgamate(a: FinStructure, b: FinStructure, c: FinStructure,
-               f: Embedding, g: Embedding, strong: bool = False,
-               bound: int | None = None,
+               f: Embedding, g: Embedding, bound: int | None = None,
                predicate: Callable[[FinStructure], bool] | None = None
                ) -> AmalgamSearch:
     """First amalgam of the span, or a status explaining the failure."""
     size = b.size + c.size - a.size
     if bound is not None and size > bound:
         return AmalgamSearch(NONE_WITHIN_BOUND)
-    for amalgam in enumerate_amalgams(a, b, c, f, g, strong, bound, predicate):
+    for amalgam in enumerate_amalgams(a, b, c, f, g, bound, predicate):
         return AmalgamSearch(FOUND, amalgam)
     return AmalgamSearch(EXHAUSTED)
 
@@ -436,10 +436,13 @@ def check_class_property(property_name: str, klass: StructClass, max_size: int,
                          amalgam_bound: int | None = None) -> ClassPropertyReport:
     """Exhaustively verify HP / JEP / AP / SAP over a class up to a size.
 
-    Stops at the first counterexample.  Amalgams are searched over pushout
-    candidates, complete for hereditary classes; when a caller-supplied
-    ``amalgam_bound`` is too small to cover a pushout the instance is
-    reported undecided rather than failed.
+    Stops at the first counterexample.  AP, like SAP, is decided through
+    pushout (strong) amalgams only: a "holds" result is sound, but an AP
+    "FAILS" may be spurious when the class needs an amalgam that identifies
+    points outside the image of A (graphs on at most two vertices report
+    such a counterexample).  When a caller-supplied ``amalgam_bound`` is too
+    small to cover a pushout the instance is reported undecided rather than
+    failed.
     """
     members = klass.members_up_to(max_size)
     checked = 0
@@ -460,15 +463,14 @@ def check_class_property(property_name: str, klass: StructClass, max_size: int,
 
     if property_name == "JEP":
         empty = _empty_structure(klass.signature)
-        nomap = Embedding(empty, empty, (), _checked=True)
         for xi, x in enumerate(members):
             fx = Embedding(empty, x, (), _checked=True)
             for yi, y in enumerate(members):
                 fy = Embedding(empty, y, (), _checked=True)
                 checked += 1
                 bound = amalgam_bound if amalgam_bound is not None else x.size + y.size
-                search = amalgamate(empty, x, y, fx, fy, strong=False,
-                                    bound=bound, predicate=klass.predicate)
+                search = amalgamate(empty, x, y, fx, fy, bound=bound,
+                                    predicate=klass.predicate)
                 if search.status == NONE_WITHIN_BOUND:
                     undecided.append((xi, yi))
                 elif search.status != FOUND:
@@ -481,7 +483,6 @@ def check_class_property(property_name: str, klass: StructClass, max_size: int,
     if property_name not in ("AP", "SAP"):
         raise ValueError("property must be one of HP, JEP, AP, SAP")
 
-    strong = property_name == "SAP"
     for ai, x in enumerate(members):
         for bi, yb in enumerate(members):
             reps_f = _orbit_representatives(x, yb)
@@ -496,8 +497,7 @@ def check_class_property(property_name: str, klass: StructClass, max_size: int,
                 for f in reps_f:
                     for g in reps_g:
                         checked += 1
-                        search = amalgamate(x, yb, yc, f, g, strong=strong,
-                                            bound=bound,
+                        search = amalgamate(x, yb, yc, f, g, bound=bound,
                                             predicate=klass.predicate)
                         if search.status == NONE_WITHIN_BOUND:
                             undecided.append((ai, bi, ci, f.map, g.map))

@@ -771,14 +771,15 @@ def metric_to_kgraph(m: FinMetricSpace) -> FinStructure:
 # JSON I/O
 
 
-def _frac_str(v: Fraction) -> str | int:
+def frac_str(v: Fraction) -> str | int:
+    """A distance as JSON: an int when whole, else ``"p/q"``."""
     return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
 def metric_to_dict(m: FinMetricSpace) -> dict:
     return {
-        "set": [_frac_str(v) for v in m.dset.values],
-        "d": [[_frac_str(v) for v in row] for row in m.d],
+        "set": [frac_str(v) for v in m.dset.values],
+        "d": [[frac_str(v) for v in row] for row in m.d],
     }
 
 

@@ -183,9 +183,6 @@ class Embedding:
     def image(self) -> frozenset[int]:
         return frozenset(self.map)
 
-    def is_isomorphism(self) -> bool:
-        return self.source.size == self.target.size
-
 
 def identity_embedding(a: FinStructure) -> Embedding:
     return Embedding(a, a, tuple(range(a.size)), _checked=True)
@@ -210,17 +207,16 @@ def is_embedding(f: Sequence[int], a: FinStructure, b: FinStructure) -> bool:
         raise StructureError("is_embedding: map not defined on the whole domain")
     if any(not (0 <= v < b.size) for v in f):
         return False
-    if len(set(f)) != a.size:
+    inv = {fv: v for v, fv in enumerate(f)}
+    if len(inv) != a.size:
         return False
-    image = set(f)
-    for spec, a_rel, b_rel in zip(a.signature.relations, a.relations, b.relations):
+    for a_rel, b_rel in zip(a.relations, b.relations):
         for t in a_rel:
             if tuple(f[v] for v in t) not in b_rel:
                 return False
         # reflection: pull back target tuples that live inside the image
         for t in b_rel:
-            if all(v in image for v in t):
-                inv = {fv: v for v, fv in enumerate(f)}
+            if all(v in inv for v in t):
                 if tuple(inv[v] for v in t) not in a_rel:
                     return False
     return True

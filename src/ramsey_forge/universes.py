@@ -37,21 +37,6 @@ KINDS = ("rado", "ordered_rado", "acyclic_universal", "henson3",
 ORDERED_GRAPH_SIG = Signature.make(("E", 2, TAG_SYMMETRIC), ("omega", 2, TAG_LINEAR))
 
 
-@dataclass(frozen=True)
-class UniverseSpec:
-    kind: str
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown universe kind {self.kind!r}")
-        if self.n < 0:
-            raise ValueError("segment size must be nonnegative")
-
-    def generate(self) -> FinStructure:
-        return generate(self.kind, self.n)
-
-
 def _bit_edge(i: int, j: int) -> bool:
     """BIT adjacency: for i < j, edge iff bit i of j is set."""
     lo, hi = (i, j) if i < j else (j, i)
@@ -183,6 +168,8 @@ def generate(kind: str, n: int) -> FinStructure:
         gen = _GENERATORS[kind]
     except KeyError:
         raise ValueError(f"unknown universe kind {kind!r}") from None
+    if n < 0:
+        raise ValueError("segment size must be nonnegative")
     return gen(n)
 
 

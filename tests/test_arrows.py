@@ -280,34 +280,3 @@ class TestColoringValidation:
         hom = enumerate_embeddings(catalog.chain(2), catalog.chain(3))
         with pytest.raises(ValueError):
             Coloring(hom, 2, (0,))
-
-
-class TestSymmetryReduction:
-    def test_verdicts_match_unreduced_search(self):
-        pool = [
-            (catalog.chain(5), catalog.chain(3), catalog.chain(2)),
-            (catalog.chain(6), catalog.chain(3), catalog.chain(2)),
-            (catalog.cycle_graph(5), catalog.path_graph(3),
-             catalog.complete_graph(2)),
-            (catalog.complete_graph(4), catalog.complete_graph(3),
-             catalog.complete_graph(2)),
-            (catalog.empty_graph(4), catalog.empty_graph(3),
-             catalog.empty_graph(2)),
-        ]
-        for c, b, a in pool:
-            for k in (2, 3):
-                for t in (1, 2):
-                    plain = check_arrow(c, b, a, k, t)
-                    reduced = check_arrow(c, b, a, k, t,
-                                          symmetry_reduction=True)
-                    assert plain.holds == reduced.holds
-                    if reduced.holds is False:
-                        assert is_bad_coloring(reduced.witness, b, a, c, t)
-
-    def test_reduction_never_explores_more(self):
-        c, b, a = (catalog.empty_graph(4), catalog.empty_graph(2),
-                   catalog.empty_graph(1))
-        plain = check_arrow(c, b, a, 2, 1)
-        reduced = check_arrow(c, b, a, 2, 1, symmetry_reduction=True)
-        assert plain.holds == reduced.holds
-        assert reduced.nodes <= plain.nodes

@@ -56,6 +56,14 @@ class TestArrowCommand:
         assert code == EXIT_UNDECIDED
         assert json.loads(out)["holds"] is None
 
+    def test_oracle_over_budget_is_undecided(self, chain_files, capsys):
+        # 40^10 colorings of hom(chain2, chain5) exceed the default budget
+        code, out = run(capsys, ["arrow", "check", "--C", chain_files[5],
+                                 "--B", chain_files[3], "--A", chain_files[2],
+                                 "-k", "40", "-t", "1", "--oracle"])
+        assert code == EXIT_UNDECIDED
+        assert json.loads(out)["holds"] is None
+
     def test_oracle_mode_agrees(self, chain_files, capsys):
         code, out = run(capsys, ["arrow", "check", "--C", chain_files[6],
                                  "--B", chain_files[3], "--A", chain_files[2],
@@ -241,6 +249,56 @@ class TestUsage:
 
     def test_bad_distance_set(self, capsys):
         assert dispatch(["metric", "analyze", "--set", "1,0"]) == EXIT_USAGE
+
+
+class TestBadInputIsUsageError:
+    """Bad input exits 64 with one ``error:`` line, never a traceback."""
+
+    def usage_error(self, capsys, argv):
+        code = dispatch(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_arrow_signature_mismatch(self, chain_files, capsys, tmp_path):
+        graph = tmp_path / "k3.json"
+        graph.write_text(structure_to_json(catalog.complete_graph(3)))
+        self.usage_error(capsys, ["arrow", "check", "--C", str(graph),
+                                  "--B", chain_files[3], "--A", chain_files[2],
+                                  "-k", "2", "-t", "1"])
+
+    def test_zero_colors(self, chain_files, capsys):
+        self.usage_error(capsys, ["arrow", "check", "--C", chain_files[6],
+                                  "--B", chain_files[3], "--A", chain_files[2],
+                                  "-k", "0", "-t", "1"])
+
+    def test_negative_segment_size(self, capsys):
+        self.usage_error(capsys, ["universe", "gen", "--kind", "rado",
+                                  "-n", "-3"])
+
+    def test_audit_segment_below_max_size(self, capsys):
+        self.usage_error(capsys, ["universe", "audit", "--kind", "rado",
+                                  "--class", "graphs", "--max-size", "3",
+                                  "-N", "2"])
+
+    def test_missing_config_file(self, chain_files, capsys, tmp_path):
+        self.usage_error(capsys, ["--config", str(tmp_path / "missing.cfg"),
+                                  "arrow", "check", "--C", chain_files[6],
+                                  "--B", chain_files[3], "--A", chain_files[2],
+                                  "-k", "2", "-t", "1"])
+
+    def test_non_integer_budget_in_config(self, chain_files, capsys, tmp_path):
+        cfg = tmp_path / "forge.cfg"
+        cfg.write_text("budget=abc\n")
+        self.usage_error(capsys, ["--config", str(cfg), "arrow", "check",
+                                  "--C", chain_files[6], "--B", chain_files[3],
+                                  "--A", chain_files[2], "-k", "2", "-t", "1"])
+
+    def test_non_integer_budget_in_env(self, chain_files, capsys, monkeypatch):
+        monkeypatch.setenv("RAMSEY_FORGE_BUDGET", "abc")
+        self.usage_error(capsys, ["arrow", "check", "--C", chain_files[6],
+                                  "--B", chain_files[3], "--A", chain_files[2],
+                                  "-k", "2", "-t", "1"])
 
 
 class TestGoldenDocFixtures:

@@ -137,6 +137,29 @@ class TestFindCocone:
                     assert is_embedding(leg.map, leg.source, r.cocone.tip)
 
 
+@pytest.mark.parametrize("name", ["chains", "graphs", "oriented-graphs"])
+def test_one_span_cocone_is_the_amalgam(name):
+    """A one-span (A, B)-diagram and the span B <- A -> B share one pushout:
+    same status, tip and legs, for every pair of embeddings up to size 3."""
+    klass = catalog.CLASSES[name]
+    members = klass.members_up_to(3)
+    spans = 0
+    for a in members:
+        for b in members:
+            homab = enumerate_embeddings(a, b)
+            for f, g in itertools.product(homab, repeat=2):
+                spans += 1
+                search = amalgamate(a, b, b, f, g, predicate=klass.predicate)
+                diagram = ab_diagram(a, b, [(f.map, g.map, 0, 1)], n_top=2)
+                cocone = find_cocone(diagram, 2 * b.size, klass.predicate)
+                assert cocone.status == search.status
+                if search.status == FOUND:
+                    assert cocone.cocone.tip == search.result.amalgam
+                    assert [leg.map for leg in cocone.cocone.legs] == [
+                        search.result.into_b.map, search.result.into_c.map]
+    assert spans > 20
+
+
 def exhaustive_amalgams(a, b, c, f, g, predicate=None):
     """Oracle: all relation interpretations on the pushout point set that
     amalgamate the span, found by raw enumeration (independent of the
@@ -193,8 +216,7 @@ class TestAmalgamate:
         a, b = catalog.chain(1), catalog.chain(2)
         f = Embedding(a, b, (0,))
         g = Embedding(a, b, (0,))
-        found = [am.amalgam for am in enumerate_amalgams(a, b, b, f, g,
-                                                         strong=True)]
+        found = [am.amalgam for am in enumerate_amalgams(a, b, b, f, g)]
         assert all(d.size == 3 for d in found)
         orders = {d.rel("lt") for d in found}
         assert orders == {
@@ -205,7 +227,7 @@ class TestAmalgamate:
     def test_strong_graph_amalgam_edge_choices_free(self):
         k1, k2 = catalog.complete_graph(1), catalog.complete_graph(2)
         f = Embedding(k1, k2, (0,))
-        found = list(enumerate_amalgams(k1, k2, k2, f, f, strong=True))
+        found = list(enumerate_amalgams(k1, k2, k2, f, f))
         assert len(found) == 2  # with and without the cross edge
         assert all(am.amalgam.size == 3 for am in found)
         for am in found:
@@ -239,7 +261,7 @@ class TestAmalgamate:
         b = catalog.path_graph(3)
         for f in enumerate_embeddings(a, b):
             for g in enumerate_embeddings(a, b):
-                search = amalgamate(a, b, b, f, g, strong=True)
+                search = amalgamate(a, b, b, f, g)
                 assert search.status == FOUND
                 am = search.result
                 shared = {am.into_b.map[f.map[v]] for v in range(a.size)}

@@ -6,7 +6,6 @@ from ramsey_forge import catalog, diagrams
 from ramsey_forge.structures import first_embedding, restriction
 from ramsey_forge.universes import (
     KINDS,
-    UniverseSpec,
     acyclic_triangle_free,
     acyclic_universal,
     check_extension_property,
@@ -141,9 +140,11 @@ class TestNestedness:
         assert hits == sorted(hits)
 
     def test_spec_wrapper(self):
-        assert UniverseSpec("rado", 4).generate() == rado(4)
+        assert generate("rado", 4) == rado(4)
         with pytest.raises(ValueError):
-            UniverseSpec("nope", 4)
+            generate("nope", 4)
+        with pytest.raises(ValueError):
+            generate("rado", -3)
 
 
 class TestExtensionProperty:
