@@ -120,6 +120,13 @@ def _read_metric(path: str) -> metric.FinMetricSpace:
         raise UsageError(f"cannot read metric space {path}: {exc}") from exc
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _parse_set(text: str) -> metric.DistanceSet:
     try:
         return metric.DistanceSet.make(Fraction(part) for part in text.split(","))
@@ -162,8 +169,8 @@ def _cmd_arrow(args: argparse.Namespace, config: RunConfig) -> int:
         }
         doc["witness"] = witness
         if args.witness_out:
-            Path(args.witness_out).write_text(
-                json.dumps(witness, sort_keys=True, indent=2) + "\n")
+            _write_file(args.witness_out,
+                        json.dumps(witness, sort_keys=True, indent=2) + "\n")
     _emit(doc, config)
     if verdict.holds is None:
         return EXIT_UNDECIDED
@@ -213,11 +220,16 @@ def _cmd_diagram(args: argparse.Namespace, config: RunConfig) -> int:
     except (OSError, json.JSONDecodeError, KeyError, ValueError,
             structures.StructureError) as exc:
         raise UsageError(f"cannot read diagram {args.infile}: {exc}") from exc
+    if not diagram.top_objects:
+        raise UsageError(f"diagram {args.infile} has no top objects")
     predicate = None
     if args.klass:
         klass = catalog.CLASSES.get(args.klass)
         if klass is None:
             raise UsageError(f"unknown class {args.klass!r}")
+        if klass.signature != diagram.top_objects[0].signature:
+            raise UsageError(f"class {args.klass!r} does not share the "
+                             "diagram's signature")
         predicate = klass.predicate
     search = diagrams.find_cocone(diagram, args.max_tip, predicate)
     out: dict = {"check": "cocone", "status": search.status}
@@ -245,7 +257,7 @@ def _cmd_universe_gen(args: argparse.Namespace, config: RunConfig) -> int:
     text = (structures.structure_to_dot(segment) if args.dot
             else json.dumps(doc, sort_keys=True, indent=2) + "\n")
     if args.out:
-        Path(args.out).write_text(text)
+        _write_file(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -30,6 +30,7 @@ from .structures import (
     Embedding,
     FinStructure,
     Signature,
+    SignatureMismatchError,
     StructureError,
     automorphisms,
     compose,
@@ -108,6 +109,8 @@ class StructDiagram:
             raise ValueError("bottom objects not aligned with shape")
         if len(self.arrow_maps) != len(self.shape.arrows):
             raise ValueError("arrow maps not aligned with shape arrows")
+        if len({s.signature for s in self.top_objects + self.bottom_objects}) > 1:
+            raise SignatureMismatchError("diagram objects do not share one signature")
         for (s, t), emb in zip(self.shape.arrows, self.arrow_maps):
             if emb.source != self.bottom_objects[s] or emb.target != self.top_objects[t]:
                 raise ValueError(f"arrow ({s},{t}) carries a mismatched embedding")

@@ -264,6 +264,12 @@ def check_universal(kind: str, klass: StructClass, max_size: int,
 
     A member not found within ``segment`` is reported, never escalated: a
     larger segment might still contain it.
+
+    Each member is searched in the full segment first.  Every smaller
+    segment is an induced substructure of it, so an absent member costs
+    that one search.  A member that embeds has its least segment scanned
+    upward, no further than one past the largest point of the embedding
+    already found.
     """
     if segment < max_size:
         raise ValueError("segment must be at least the class size bound")
@@ -271,10 +277,13 @@ def check_universal(kind: str, klass: StructClass, max_size: int,
     entries = []
     for mi, member in enumerate(klass.members_up_to(max_size)):
         minimal: int | None = None
-        for np_ in range(member.size, segment + 1):
-            if first_embedding(member, restriction(universe, range(np_))) is not None:
-                minimal = np_
-                break
+        found = first_embedding(member, universe)
+        if found is not None:
+            minimal = max(found.map, default=-1) + 1
+            for np_ in range(member.size, minimal):
+                if first_embedding(member, restriction(universe, range(np_))) is not None:
+                    minimal = np_
+                    break
         entries.append(UniversalityEntry(mi, member.size, minimal is not None,
                                          minimal))
     return UniversalityReport(kind, klass.name, max_size, segment, tuple(entries))

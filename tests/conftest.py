@@ -40,6 +40,19 @@ def brute_force_isomorphism(a: FinStructure, b: FinStructure) -> bool:
     return bool(brute_force_embedding_maps(a, b))
 
 
+def brute_force_canonical_key(a: FinStructure):
+    """The least encoding over all n! relabelings: equal iff isomorphic."""
+    best = None
+    for perm in itertools.permutations(range(a.size)):
+        enc = tuple(
+            tuple(sorted(tuple(perm[v] for v in t) for t in tuples))
+            for tuples in a.relations
+        )
+        if best is None or enc < best:
+            best = enc
+    return (a.signature, a.size, best)
+
+
 @pytest.fixture(scope="session")
 def metric_corpus():
     """Deterministic corpus of spanned-amalgamation instances (>= 100).

@@ -301,6 +301,43 @@ class TestBadInputIsUsageError:
                                   "-k", "2", "-t", "1"])
 
 
+    def test_unwritable_witness_out(self, chain_files, capsys, tmp_path):
+        self.usage_error(capsys, ["arrow", "check", "--C", chain_files[5],
+                                  "--B", chain_files[3], "--A", chain_files[2],
+                                  "-k", "2", "-t", "1", "--witness-out",
+                                  str(tmp_path / "missing" / "w.json")])
+
+    def test_unwritable_gen_out(self, capsys, tmp_path):
+        self.usage_error(capsys, ["universe", "gen", "--kind", "rado", "-n", "4",
+                                  "--out", str(tmp_path / "missing" / "g.json")])
+
+    def diagram_file(self, tmp_path, tops):
+        path = tmp_path / "diagram.json"
+        path.write_text(json.dumps({
+            "shape": {"top": len(tops), "bottom": 0, "arrows": []},
+            "top_objects": [structures.structure_to_dict(t) for t in tops],
+            "bottom_objects": [],
+            "arrow_maps": [],
+        }))
+        return str(path)
+
+    def test_diagram_objects_of_two_signatures(self, capsys, tmp_path):
+        path = self.diagram_file(tmp_path, [catalog.complete_graph(2),
+                                            catalog.chain(2)])
+        self.usage_error(capsys, ["diagram", "cocone", "--in", path,
+                                  "--max-tip", "4"])
+
+    def test_diagram_without_top_objects(self, capsys, tmp_path):
+        self.usage_error(capsys, ["diagram", "cocone", "--in",
+                                  self.diagram_file(tmp_path, []),
+                                  "--max-tip", "4"])
+
+    def test_diagram_class_of_another_signature(self, capsys, tmp_path):
+        path = self.diagram_file(tmp_path, [catalog.complete_graph(2)] * 2)
+        self.usage_error(capsys, ["diagram", "cocone", "--in", path,
+                                  "--max-tip", "4", "--class", "tournaments"])
+
+
 class TestGoldenDocFixtures:
     """The command lines shown in the README, pinned byte-for-byte."""
 

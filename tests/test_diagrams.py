@@ -24,6 +24,7 @@ from ramsey_forge.diagrams import (
 from ramsey_forge.structures import (
     Embedding,
     FinStructure,
+    SignatureMismatchError,
     StructureError,
     are_isomorphic,
     enumerate_embeddings,
@@ -114,6 +115,11 @@ class TestFindCocone:
 
     def test_bound_too_small(self):
         assert find_cocone(chain_span_diagram(), 2).status == NONE_WITHIN_BOUND
+
+    def test_objects_of_two_signatures_are_rejected(self):
+        with pytest.raises(SignatureMismatchError):
+            StructDiagram(BinaryDigraph(2, 0, ()),
+                          (catalog.complete_graph(2), catalog.chain(2)), (), ())
 
     def test_predicate_can_exhaust(self):
         # a single edge can never satisfy "empty graph" on its image

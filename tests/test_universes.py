@@ -6,6 +6,7 @@ from ramsey_forge import catalog, diagrams
 from ramsey_forge.structures import first_embedding, restriction
 from ramsey_forge.universes import (
     KINDS,
+    UniversalityEntry,
     acyclic_triangle_free,
     acyclic_universal,
     check_extension_property,
@@ -178,6 +179,29 @@ class TestExtensionProperty:
             assert r.witness not in r.targets + r.non_targets
 
 
+class OneCycle:
+    name = "one-cycle"
+    signature = catalog.GRAPH_SIG
+
+    @staticmethod
+    def members_up_to(m):
+        return (catalog.cycle_graph(5),)
+
+
+def reference_entries(kind, klass, max_size, segment):
+    """Search every segment from the member's size upward until one holds
+    the member."""
+    universe = generate(kind, segment)
+    entries = []
+    for mi, member in enumerate(klass.members_up_to(max_size)):
+        minimal = next((n for n in range(member.size, segment + 1)
+                        if first_embedding(member, restriction(universe, range(n)))
+                        is not None), None)
+        entries.append(UniversalityEntry(mi, member.size, minimal is not None,
+                                         minimal))
+    return tuple(entries)
+
+
 class TestUniversality:
     def test_graphs_in_rado_16(self):
         report = check_universal("rado", catalog.CLASSES["graphs"], 3, 16)
@@ -211,14 +235,18 @@ class TestUniversality:
 
     def test_not_found_reported_not_raised(self):
         # a 5-cycle cannot appear in the first 5 BIT vertices
-        class OneCycle:
-            name = "one-cycle"
-            signature = catalog.GRAPH_SIG
-
-            @staticmethod
-            def members_up_to(m):
-                return (catalog.cycle_graph(5),)
-
         report = check_universal("rado", OneCycle, 5, 5)
         assert not report.all_embedded
         assert report.entries[0].minimal_segment is None
+
+    @pytest.mark.parametrize("kind, klass, max_size, segment, absent", [
+        ("permutational_poset", catalog.CLASSES["linearly-ordered-posets"],
+         4, 16, 17),
+        ("rado", catalog.CLASSES["graphs"], 4, 8, 1),
+        ("rado", OneCycle, 5, 5, 1),
+    ])
+    def test_entries_match_per_segment_scan(self, kind, klass, max_size,
+                                            segment, absent):
+        report = check_universal(kind, klass, max_size, segment)
+        assert report.entries == reference_entries(kind, klass, max_size, segment)
+        assert sum(not e.embedded for e in report.entries) == absent
