@@ -184,9 +184,12 @@ def _all_graphs(n: int) -> Iterable[FinStructure]:
         yield graph(n, [p for p, b in zip(pairs, bits) if b])
 
 
-def _all_oriented(n: int) -> Iterable[FinStructure]:
+def _all_oriented(n: int, choices: Sequence[int] = (0, 1, 2)
+                  ) -> Iterable[FinStructure]:
+    """Oriented graphs whose pair ``x < y`` takes one of ``choices``: 0 for
+    no arc, 1 for the arc ``(x, y)``, 2 for the arc ``(y, x)``."""
     pairs = list(itertools.combinations(range(n), 2))
-    for choice in itertools.product((0, 1, 2), repeat=len(pairs)):
+    for choice in itertools.product(choices, repeat=len(pairs)):
         arcs = []
         for (x, y), c in zip(pairs, choice):
             if c == 1:
@@ -254,7 +257,10 @@ def _gen(name: str, n: int) -> tuple[FinStructure, ...]:
     if name == "oriented-graphs":
         return _dedupe(_all_oriented(n))
     if name == "tournaments":
-        return tuple(s for s in _gen("oriented-graphs", n) if is_tournament(s))
+        # the orientations with no empty pair come in the order they hold
+        # among all oriented graphs, so members and their order are those
+        # of the oriented members that are tournaments
+        return _dedupe(_all_oriented(n, choices=(1, 2)))
     if name == "dags":
         return tuple(s for s in _gen("oriented-graphs", n) if is_acyclic(s))
     if name == "posets":

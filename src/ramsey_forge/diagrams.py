@@ -446,6 +446,17 @@ def check_class_property(property_name: str, klass: StructClass, max_size: int,
     such a counterexample).  When a caller-supplied ``amalgam_bound`` is too
     small to cover a pushout the instance is reported undecided rather than
     failed.
+
+    AP and SAP instances ``(A, B, C, f, g)`` are visited with f and g
+    running over Aut(B)- and Aut(C)-orbit representatives.  Every instance
+    is counted, but one whose mirror ``C <-g- A -f-> B`` was visited
+    earlier is not searched again: the loop did not stop there, so the
+    mirror amalgamated or was out of bound, and both outcomes carry over.
+    Swapping B and C relabels the pushout and its completions, each slot's
+    options are closed under that relabelling, class predicates are
+    isomorphism-invariant, and the bound depends only on
+    ``|B| + |C| - |A|``.  So the first counterexample, the count and the
+    undecided instances are those of searching every instance.
     """
     members = klass.members_up_to(max_size)
     checked = 0
@@ -487,19 +498,20 @@ def check_class_property(property_name: str, klass: StructClass, max_size: int,
         raise ValueError("property must be one of HP, JEP, AP, SAP")
 
     for ai, x in enumerate(members):
+        reps = [_orbit_representatives(x, y) for y in members]
         for bi, yb in enumerate(members):
-            reps_f = _orbit_representatives(x, yb)
-            if not reps_f:
-                continue
             for ci, yc in enumerate(members):
-                reps_g = _orbit_representatives(x, yc)
-                if not reps_g:
-                    continue
-                default = yb.size + yc.size - x.size
-                bound = amalgam_bound if amalgam_bound is not None else default
-                for f in reps_f:
-                    for g in reps_g:
+                size = yb.size + yc.size - x.size
+                bound = amalgam_bound if amalgam_bound is not None else size
+                for i, f in enumerate(reps[bi]):
+                    for j, g in enumerate(reps[ci]):
                         checked += 1
+                        if (ci, j) < (bi, i):
+                            # the mirror C <-g- A -f-> B came first and
+                            # did not stop the loop
+                            if size > bound:
+                                undecided.append((ai, bi, ci, f.map, g.map))
+                            continue
                         search = amalgamate(x, yb, yc, f, g, bound=bound,
                                             predicate=klass.predicate)
                         if search.status == NONE_WITHIN_BOUND:

@@ -61,7 +61,7 @@ class DistanceSet:
         return DistanceSet(tuple(_frac(v) for v in values))
 
     def __contains__(self, x) -> bool:
-        return _frac(x) in set(self.values)
+        return _frac(x) in self.values
 
     def __len__(self) -> int:
         return len(self.values)

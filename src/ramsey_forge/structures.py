@@ -207,18 +207,17 @@ def is_embedding(f: Sequence[int], a: FinStructure, b: FinStructure) -> bool:
         raise StructureError("is_embedding: map not defined on the whole domain")
     if any(not (0 <= v < b.size) for v in f):
         return False
-    inv = {fv: v for v, fv in enumerate(f)}
-    if len(inv) != a.size:
+    image = set(f)
+    if len(image) != a.size:
         return False
     for a_rel, b_rel in zip(a.relations, b.relations):
-        for t in a_rel:
-            if tuple(f[v] for v in t) not in b_rel:
-                return False
-        # reflection: pull back target tuples that live inside the image
-        for t in b_rel:
-            if all(v in inv for v in t):
-                if tuple(inv[v] for v in t) not in a_rel:
-                    return False
+        mapped = {tuple(f[v] for v in t) for t in a_rel}
+        if not mapped <= b_rel:
+            return False
+        # reflection: f is injective, so the target tuples inside the image
+        # are the mapped ones exactly when there are as many of them
+        if sum(image.issuperset(t) for t in b_rel) != len(mapped):
+            return False
     return True
 
 
@@ -377,7 +376,6 @@ def are_isomorphic(a: FinStructure, b: FinStructure) -> tuple[bool, Embedding | 
     return (w is not None), w
 
 
-@lru_cache(maxsize=None)
 def canonical_key(a: FinStructure):
     """A permutation-invariant encoding; equal keys iff isomorphic.
 
@@ -389,6 +387,9 @@ def canonical_key(a: FinStructure):
     cells of the same color, so isomorphic structures range over the same
     encodings and share the minimum; equal encodings are equal relabeled
     structures, so the key stays complete.
+
+    Keys are not cached: class enumeration asks once per labelled
+    candidate, and a cache would keep every candidate alive.
     """
     profiles = _degree_profiles(a)
     colors = [tuple(sorted(p.items())) for p in profiles]

@@ -2,7 +2,9 @@
 
 These deliberately re-derive definitions from scratch (no calls into the
 library's search code) so that library results are checked against a
-second route.
+second route.  The one exception, ``every_instance_class_property``, runs
+the library's amalgamation search on every instance, to check the
+shortcut that the class-property loop takes.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import itertools
 
 import pytest
 
+from ramsey_forge import diagrams
 from ramsey_forge.structures import FinStructure
 
 
@@ -51,6 +54,38 @@ def brute_force_canonical_key(a: FinStructure):
         if best is None or enc < best:
             best = enc
     return (a.signature, a.size, best)
+
+
+def every_instance_class_property(property_name, klass, max_size,
+                                  amalgam_bound=None):
+    """AP or SAP with every instance searched, mirrors included.
+
+    The loop of :func:`diagrams.check_class_property` without its mirror
+    skip, to check that skipping changes no report.
+    """
+    members = klass.members_up_to(max_size)
+    checked = 0
+    undecided = []
+    for ai, x in enumerate(members):
+        for bi, yb in enumerate(members):
+            for ci, yc in enumerate(members):
+                bound = (amalgam_bound if amalgam_bound is not None
+                         else yb.size + yc.size - x.size)
+                for f in diagrams._orbit_representatives(x, yb):
+                    for g in diagrams._orbit_representatives(x, yc):
+                        checked += 1
+                        instance = (ai, bi, ci, f.map, g.map)
+                        status = diagrams.amalgamate(
+                            x, yb, yc, f, g, bound=bound,
+                            predicate=klass.predicate).status
+                        if status == diagrams.NONE_WITHIN_BOUND:
+                            undecided.append(instance)
+                        elif status != diagrams.FOUND:
+                            return diagrams.ClassPropertyReport(
+                                property_name, klass.name, max_size, False,
+                                instance, tuple(undecided), checked)
+    return diagrams.ClassPropertyReport(property_name, klass.name, max_size,
+                                        True, None, tuple(undecided), checked)
 
 
 @pytest.fixture(scope="session")

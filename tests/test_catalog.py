@@ -100,3 +100,10 @@ OEIS_COUNTS = {
 def test_member_counts_match_oeis(name):
     counts = tuple(len(catalog.CLASSES[name].members(n)) for n in range(1, 6))
     assert counts == OEIS_COUNTS[name]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_tournaments_are_the_tournament_oriented_members(n):
+    oriented = catalog.CLASSES["oriented-graphs"].members(n)
+    assert catalog.CLASSES["tournaments"].members(n) == tuple(
+        s for s in oriented if catalog.is_tournament(s))

@@ -31,6 +31,8 @@ from ramsey_forge.structures import (
     is_embedding,
 )
 
+from conftest import every_instance_class_property
+
 
 class TestBinaryDigraph:
     def test_out_degree_enforced(self):
@@ -328,6 +330,46 @@ class TestClassProperties:
     def test_triangle_free_ap(self):
         report = check_class_property("AP", catalog.CLASSES["triangle-free"], 3)
         assert report.holds
+
+
+GRAPHS_LE_2 = catalog.StructClass(
+    "graphs-le-2", catalog.GRAPH_SIG, lambda s: s.size <= 2,
+    lambda n: catalog.CLASSES["graphs"].members(n) if n <= 2 else ())
+
+MIRROR_CASES = (
+    [(prop, catalog.CLASSES[name], 3, None)
+     for name in catalog.CLASSES for prop in ("AP", "SAP")]
+    + [("AP", catalog.CLASSES[name], 4, None) for name in ("graphs", "dags")]
+    + [("AP", catalog.CLASSES[name], 3, bound)
+       for name in ("chains", "graphs") for bound in range(2, 6)]
+    + [("AP", GRAPHS_LE_2, 2, None)])
+
+
+@pytest.mark.parametrize(
+    "prop, klass, max_size, bound", MIRROR_CASES,
+    ids=[f"{p}-{k.name}-{m}-{b}" for p, k, m, b in MIRROR_CASES])
+def test_mirror_skip_changes_no_report(prop, klass, max_size, bound):
+    assert check_class_property(prop, klass, max_size, amalgam_bound=bound) \
+        == every_instance_class_property(prop, klass, max_size, bound)
+
+
+@pytest.mark.parametrize("name", ["graphs", "oriented-graphs", "tournaments",
+                                  "dags", "triangle-free"])
+def test_mirrored_span_has_the_same_status(name):
+    """B <-f- A -g-> C amalgamates exactly when C <-g- A -f-> B does."""
+    klass = catalog.CLASSES[name]
+    members = klass.members_up_to(3)
+    statuses = []
+    for a, b, c in itertools.product(members, repeat=3):
+        for f in enumerate_embeddings(a, b):
+            for g in enumerate_embeddings(a, c):
+                status = amalgamate(a, b, c, f, g,
+                                    predicate=klass.predicate).status
+                assert status == amalgamate(a, c, b, g, f,
+                                            predicate=klass.predicate).status
+                statuses.append(status)
+    assert len(statuses) > 20
+    assert (EXHAUSTED in statuses) == (name == "dags")
 
 
 class TestIStar:

@@ -58,6 +58,23 @@ class TestIsEmbedding:
         k2 = catalog.complete_graph(2)
         assert not is_embedding((0, 1), e2, k2)
 
+    @pytest.mark.parametrize("name", ["graphs", "oriented-graphs", "chains",
+                                      "posets", "permutations",
+                                      "linearly-ordered-posets"])
+    def test_every_map_matches_the_oracle(self, name):
+        # every map into {-1, ..., |B|}, so out-of-range and non-injective
+        # maps are tried next to the embeddings and the non-embeddings
+        members = catalog.CLASSES[name].members_up_to(3)
+        maps = 0
+        for a in members:
+            for b in members:
+                oracle = brute_force_embedding_maps(a, b)
+                for f in itertools.product(range(-1, b.size + 1),
+                                           repeat=a.size):
+                    maps += 1
+                    assert is_embedding(f, a, b) == (f in oracle), (a, b, f)
+        assert maps > 200
+
 
 class TestEnumerateEmbeddings:
     def test_chain_2_into_5(self):
