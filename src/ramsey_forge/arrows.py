@@ -32,6 +32,9 @@ from .structures import (
 
 DEFAULT_BUDGET = 10 ** 8
 
+# colorings per numpy block in the exhaustive oracle
+_ORACLE_CHUNK = 1 << 18
+
 
 class InternalConsistencyError(RuntimeError):
     """A composed embedding fell outside the coloring's base hom-set."""
@@ -113,23 +116,20 @@ def oligo_count(chi: Coloring, w: Embedding, a: FinStructure) -> int:
 
 
 def oligo_search(chi: Coloring, b: FinStructure, a: FinStructure,
-                 c: FinStructure, floor: int | None = None
-                 ) -> tuple[int, Embedding]:
+                 c: FinStructure) -> tuple[int, Embedding]:
     """Exact minimum of :func:`oligo_count` over hom(B, C), with argmin.
 
-    Scans every w in canonical order; exits early once the count reaches 1
-    or the supplied ``floor``.
+    Scans every w in canonical order; exits early once the count reaches 1.
     """
     hom_bc = enumerate_embeddings(b, c)
     if not hom_bc:
         raise EmptyHomSetError("hom(B, C) is empty: no witness can exist")
     best: tuple[int, Embedding] | None = None
-    stop_at = 1 if floor is None else max(1, floor)
     for w in hom_bc:
         count = oligo_count(chi, w, a)
         if best is None or count < best[0]:
             best = (count, w)
-            if count <= stop_at:
+            if count <= 1:
                 break
     assert best is not None
     return best
@@ -252,7 +252,7 @@ def is_bad_coloring(chi: Coloring, b: FinStructure, a: FinStructure,
 
 
 def exhaustive_min_degree(c: FinStructure, b: FinStructure, a: FinStructure,
-                          k: int, chunk: int = 1 << 18) -> int | float:
+                          k: int) -> int | float:
     """Brute-force oracle: max over all k-colorings of the min over w of
     the color count on w's composed copies.
 
@@ -271,8 +271,8 @@ def exhaustive_min_degree(c: FinStructure, b: FinStructure, a: FinStructure,
     total = k ** n
     powers = np.array([k ** i for i in range(n - 1, -1, -1)], dtype=np.int64)
     worst = 0
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
+    for start in range(0, total, _ORACLE_CHUNK):
+        stop = min(start + _ORACLE_CHUNK, total)
         rows = np.arange(start, stop, dtype=np.int64)
         digits = ((rows[:, None] // powers[None, :]) % k).astype(np.int8)
         mins: np.ndarray | None = None

@@ -49,7 +49,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.budget < 1:
             raise UsageError("budget must be >= 1")
-        if self.fmt not in ("json", "text", "dot"):
+        if self.fmt not in ("json", "text"):
             raise UsageError(f"unknown output format {self.fmt!r}")
 
 
@@ -96,9 +96,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _emit(doc: dict, config: RunConfig) -> None:
-    if config.fmt == "dot":
-        raise UsageError("dot output applies to structure generation only "
-                         "(use `universe gen --dot`)")
     if config.fmt == "text":
         for key in sorted(doc):
             print(f"{key}: {json.dumps(doc[key], sort_keys=True)}")
@@ -397,7 +394,7 @@ def build_parser() -> _Parser:
                      description="finite-structure workbench")
     parser.add_argument("--config", help="flat key=value configuration file")
     parser.add_argument("--budget", type=int, help="search-node budget")
-    parser.add_argument("--format", choices=["json", "text", "dot"],
+    parser.add_argument("--format", choices=["json", "text"],
                         help="output format")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .catalog import I_STAR, StructClass, is_linearly_ordered_poset
 from .structures import (
@@ -36,7 +36,6 @@ from .structures import (
     compose,
     enumerate_embeddings,
     first_embedding,
-    is_embedding,
     restriction,
 )
 
@@ -71,9 +70,10 @@ class BinaryDigraph:
         return idx  # type: ignore[return-value]
 
 
-def connected_components(shape: BinaryDigraph) -> tuple[tuple[int, ...], ...]:
-    """Walk-connected classes of top vertices, ordered by least member."""
-    parent = list(range(shape.n_top))
+def _least_members(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Per point of ``range(n)``, the least member of its class under the
+    equivalence the pairs generate (union-find with path halving)."""
+    parent = list(range(n))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -81,16 +81,21 @@ def connected_components(shape: BinaryDigraph) -> tuple[tuple[int, ...], ...]:
             x = parent[x]
         return x
 
-    for b in range(shape.n_bottom):
-        i, j = shape.arrows_of(b)
-        x, y = find(shape.arrows[i][1]), find(shape.arrows[j][1])
-        if x != y:
-            parent[max(x, y)] = min(x, y)
+    for x, y in pairs:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+    return [find(x) for x in range(n)]
 
+
+def connected_components(shape: BinaryDigraph) -> tuple[tuple[int, ...], ...]:
+    """Walk-connected classes of top vertices, ordered by least member."""
+    pairs = (tuple(shape.arrows[i][1] for i in shape.arrows_of(b))
+             for b in range(shape.n_bottom))
     classes: dict[int, list[int]] = {}
-    for v in range(shape.n_top):
-        classes.setdefault(find(v), []).append(v)
-    return tuple(tuple(sorted(c)) for _, c in sorted(classes.items()))
+    for v, root in enumerate(_least_members(shape.n_top, pairs)):
+        classes.setdefault(root, []).append(v)
+    return tuple(tuple(c) for _, c in sorted(classes.items()))
 
 
 @dataclass(frozen=True)
@@ -174,24 +179,13 @@ def _pushout(tops: Sequence[FinStructure],
     top, or None when two points of one top would merge.
     """
     offsets = list(itertools.accumulate((s.size for s in tops), initial=0))
-    parent = list(range(offsets[-1]))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, u, j, v in glue:
-        for p, q in zip(u, v):
-            rx, ry = find(offsets[i] + p), find(offsets[j] + q)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-
+    roots = _least_members(offsets[-1], ((offsets[i] + p, offsets[j] + q)
+                                         for i, u, j, v in glue
+                                         for p, q in zip(u, v)))
     number: dict[int, int] = {}
     legs = []
     for ti, s in enumerate(tops):
-        leg = tuple(number.setdefault(find(offsets[ti] + v), len(number))
+        leg = tuple(number.setdefault(roots[offsets[ti] + v], len(number))
                     for v in range(s.size))
         if len(set(leg)) != s.size:
             return None
@@ -318,10 +312,8 @@ def find_cocone(diagram: StructDiagram, max_tip_size: int,
 
     for tip in _complete_structures(tops[0].signature, q, *forced,
                                     class_predicate):
-        legs = tuple(Embedding(s, tip, legs_maps[ti], _checked=True)
+        legs = tuple(Embedding(s, tip, legs_maps[ti])
                      for ti, s in enumerate(tops))
-        for ti, s in enumerate(tops):
-            assert is_embedding(legs_maps[ti], s, tip)
         cocone = Cocone(tip, legs)
         assert check_commutes(diagram, cocone)
         return CoconeSearch(FOUND, cocone)
@@ -346,7 +338,7 @@ class AmalgamSearch:
 
 
 def enumerate_amalgams(a: FinStructure, b: FinStructure, c: FinStructure,
-                       f: Embedding, g: Embedding, bound: int | None = None,
+                       f: Embedding, g: Embedding,
                        predicate: Callable[[FinStructure], bool] | None = None
                        ) -> Iterator[Amalgam]:
     """All pushout-shaped amalgams of the span ``B <-f- A -g-> C``.
@@ -355,12 +347,12 @@ def enumerate_amalgams(a: FinStructure, b: FinStructure, c: FinStructure,
     further identification is attempted, so the shared part of the two
     images is exactly the image of A and every amalgam produced here is a
     strong one.  Relation choices on mixed tuples are enumerated with the
-    free superposition (no cross relations) first.
+    free superposition (no cross relations) first.  The maps into each
+    amalgam are certified embeddings when they are built, so a completion
+    that is not an amalgam raises :class:`StructureError`.
     """
     if f.source != a or g.source != a or f.target != b or g.target != c:
         raise StructureError("amalgamate: span embeddings do not match A, B, C")
-    if bound is not None and b.size + c.size - a.size > bound:
-        return
     # f and g are injective, so no point of B or C merges with another
     size, (b_to_d, c_map) = _pushout((b, c), [(0, f.map, 1, g.map)])
     forced = _forced_relations((b, c), (b_to_d, c_map), size)
@@ -368,9 +360,7 @@ def enumerate_amalgams(a: FinStructure, b: FinStructure, c: FinStructure,
         return  # f and g disagree on the shared part; no amalgam
 
     for d in _complete_structures(b.signature, size, *forced, predicate):
-        fp = Embedding(b, d, b_to_d, _checked=True)
-        gp = Embedding(c, d, c_map, _checked=True)
-        assert is_embedding(fp.map, b, d) and is_embedding(gp.map, c, d)
+        fp, gp = Embedding(b, d, b_to_d), Embedding(c, d, c_map)
         assert tuple(fp.map[v] for v in f.map) == tuple(gp.map[v] for v in g.map)
         overlap = set(fp.map) & set(gp.map)
         shared = {fp.map[f.map[v]] for v in range(a.size)}
@@ -386,7 +376,7 @@ def amalgamate(a: FinStructure, b: FinStructure, c: FinStructure,
     size = b.size + c.size - a.size
     if bound is not None and size > bound:
         return AmalgamSearch(NONE_WITHIN_BOUND)
-    for amalgam in enumerate_amalgams(a, b, c, f, g, bound, predicate):
+    for amalgam in enumerate_amalgams(a, b, c, f, g, predicate):
         return AmalgamSearch(FOUND, amalgam)
     return AmalgamSearch(EXHAUSTED)
 
@@ -448,14 +438,16 @@ def check_class_property(property_name: str, klass: StructClass, max_size: int,
     failed.
 
     AP and SAP instances ``(A, B, C, f, g)`` are visited with f and g
-    running over Aut(B)- and Aut(C)-orbit representatives.  Every instance
-    is counted, but one whose mirror ``C <-g- A -f-> B`` was visited
-    earlier is not searched again: the loop did not stop there, so the
-    mirror amalgamated or was out of bound, and both outcomes carry over.
-    Swapping B and C relabels the pushout and its completions, each slot's
-    options are closed under that relabelling, class predicates are
-    isomorphism-invariant, and the bound depends only on
-    ``|B| + |C| - |A|``.  So the first counterexample, the count and the
+    running over Aut(B)- and Aut(C)-orbit representatives.  JEP runs the
+    same loop with the empty structure as the only A, so f and g are the
+    empty maps and its instances are the member pairs ``(B, C)``, reported
+    as ``(bi, ci)``.  Every instance is counted, but one whose mirror
+    ``C <-g- A -f-> B`` was visited earlier is not searched again: the loop
+    did not stop there, so the mirror amalgamated or was out of bound, and
+    both outcomes carry over.  Swapping B and C relabels the pushout and
+    its completions, each slot's options are closed under that relabelling,
+    class predicates are isomorphism-invariant, and the bound depends only
+    on ``|B| + |C| - |A|``.  So the first counterexample, the count and the
     undecided instances are those of searching every instance.
     """
     members = klass.members_up_to(max_size)
@@ -476,28 +468,13 @@ def check_class_property(property_name: str, klass: StructClass, max_size: int,
                                    None, (), checked)
 
     if property_name == "JEP":
-        empty = _empty_structure(klass.signature)
-        for xi, x in enumerate(members):
-            fx = Embedding(empty, x, (), _checked=True)
-            for yi, y in enumerate(members):
-                fy = Embedding(empty, y, (), _checked=True)
-                checked += 1
-                bound = amalgam_bound if amalgam_bound is not None else x.size + y.size
-                search = amalgamate(empty, x, y, fx, fy, bound=bound,
-                                    predicate=klass.predicate)
-                if search.status == NONE_WITHIN_BOUND:
-                    undecided.append((xi, yi))
-                elif search.status != FOUND:
-                    return ClassPropertyReport(property_name, klass.name,
-                                               max_size, False, (xi, yi),
-                                               tuple(undecided), checked)
-        return ClassPropertyReport(property_name, klass.name, max_size, True,
-                                   None, tuple(undecided), checked)
-
-    if property_name not in ("AP", "SAP"):
+        bottoms: Sequence[FinStructure] = (_empty_structure(klass.signature),)
+    elif property_name in ("AP", "SAP"):
+        bottoms = members
+    else:
         raise ValueError("property must be one of HP, JEP, AP, SAP")
 
-    for ai, x in enumerate(members):
+    for ai, x in enumerate(bottoms):
         reps = [_orbit_representatives(x, y) for y in members]
         for bi, yb in enumerate(members):
             for ci, yc in enumerate(members):
@@ -509,18 +486,20 @@ def check_class_property(property_name: str, klass: StructClass, max_size: int,
                         if (ci, j) < (bi, i):
                             # the mirror C <-g- A -f-> B came first and
                             # did not stop the loop
-                            if size > bound:
-                                undecided.append((ai, bi, ci, f.map, g.map))
+                            status = NONE_WITHIN_BOUND if size > bound else FOUND
+                        else:
+                            status = amalgamate(x, yb, yc, f, g, bound=bound,
+                                                predicate=klass.predicate).status
+                        if status == FOUND:
                             continue
-                        search = amalgamate(x, yb, yc, f, g, bound=bound,
-                                            predicate=klass.predicate)
-                        if search.status == NONE_WITHIN_BOUND:
-                            undecided.append((ai, bi, ci, f.map, g.map))
-                        elif search.status != FOUND:
+                        instance = ((bi, ci) if property_name == "JEP"
+                                    else (ai, bi, ci, f.map, g.map))
+                        if status == NONE_WITHIN_BOUND:
+                            undecided.append(instance)
+                        else:
                             return ClassPropertyReport(
                                 property_name, klass.name, max_size, False,
-                                (ai, bi, ci, f.map, g.map),
-                                tuple(undecided), checked)
+                                instance, tuple(undecided), checked)
     return ClassPropertyReport(property_name, klass.name, max_size, True,
                                None, tuple(undecided), checked)
 

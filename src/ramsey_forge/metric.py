@@ -99,8 +99,11 @@ class BlockPartition:
                 return i
         raise MetricError(f"{x} is not a member of the distance set")
 
+    def block_min(self, x: Fraction) -> Fraction:
+        """Least value of the block that ``x`` lies in."""
+        return self.blocks[self.block_index(x)][0]
 
-@lru_cache(maxsize=None)
+
 def jump_numbers(s: DistanceSet) -> tuple[Fraction, ...]:
     """Values that are last, or less than half their successor."""
     vals = s.values
@@ -259,9 +262,6 @@ class FinMetricSpace:
     def size(self) -> int:
         return len(self.d)
 
-    def dist(self, x: int, y: int) -> Fraction:
-        return self.d[x][y]
-
     def spectre(self) -> set[Fraction]:
         return {v for row in self.d for v in row}
 
@@ -337,6 +337,11 @@ def sim_partition(m: FinMetricSpace) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(cls) for cls in classes)
 
 
+def _class_of(classes: Sequence[Sequence[int]]) -> dict[int, int]:
+    """Each point of ``classes`` mapped to the index of its class."""
+    return {x: ci for ci, cls in enumerate(classes) for x in cls}
+
+
 def spans(l: FinMetricSpace, m: FinMetricSpace) -> tuple[int, ...] | None:
     """First transversal of m's similarity classes isometric to ``l``.
 
@@ -362,6 +367,15 @@ def spans(l: FinMetricSpace, m: FinMetricSpace) -> tuple[int, ...] | None:
 # strong amalgamation over a spanning space
 
 
+def _require_compact_two_blocks(s: DistanceSet, what: str) -> None:
+    """The shared precondition of amalgamation and the star transform."""
+    compact, _ = is_compact(s)
+    if not compact:
+        raise MetricError(f"{what} requires a compact distance set")
+    if len(blocks(s).nontrivial) < 2:
+        raise MetricError(f"{what} requires at least two nontrivial blocks")
+
+
 def sap_amalgamate_metL(m: FinMetricSpace, mp: FinMetricSpace,
                         mpp: FinMetricSpace, f: Sequence[int],
                         g: Sequence[int], l: FinMetricSpace
@@ -377,11 +391,7 @@ def sap_amalgamate_metL(m: FinMetricSpace, mp: FinMetricSpace,
     overlap, and that ``l`` still spans the result.
     """
     s = m.dset
-    compact, _ = is_compact(s)
-    if not compact:
-        raise MetricError("amalgamation requires a compact distance set")
-    if len(blocks(s).nontrivial) < 2:
-        raise MetricError("amalgamation requires at least two nontrivial blocks")
+    _require_compact_two_blocks(s, "amalgamation")
     if mp.dset != s or mpp.dset != s:
         raise MetricError("all spaces must share one declared distance set")
     f = tuple(f)
@@ -399,24 +409,15 @@ def sap_amalgamate_metL(m: FinMetricSpace, mp: FinMetricSpace,
         raise MetricError("the spanning space does not span both sides")
 
     # align both class lists with the shared transversal
-    def class_lookup(classes, point):
-        for ci, cls in enumerate(classes):
-            if point in cls:
-                return ci
+    index_p, index_pp = _class_of(classes_p), _class_of(classes_pp)
+    if any(f[a] not in index_p or g[a] not in index_pp for a in transversal):
         raise IntegrityError("image point escaped every similarity class")
-
-    align_p = [class_lookup(classes_p, f[a]) for a in transversal]
-    align_pp = [class_lookup(classes_pp, g[a]) for a in transversal]
+    align_p = [index_p[f[a]] for a in transversal]
+    align_pp = [index_pp[g[a]] for a in transversal]
     if sorted(align_p) != list(range(k)) or sorted(align_pp) != list(range(k)):
         raise MetricError("transversal images do not hit every class once")
-    class_of_p = {}
-    for i, ci in enumerate(align_p):
-        for x in classes_p[ci]:
-            class_of_p[x] = i
-    class_of_pp = {}
-    for i, ci in enumerate(align_pp):
-        for x in classes_pp[ci]:
-            class_of_pp[x] = i
+    class_of_p = _class_of([classes_p[ci] for ci in align_p])
+    class_of_pp = _class_of([classes_pp[ci] for ci in align_pp])
 
     # amalgam points: all of mp, then mpp's points outside g(m)
     g_image = {g[a]: a for a in range(m.size)}
@@ -560,11 +561,7 @@ def star_transform(m: FinMetricSpace, choice: SigmaChoice | None = None
     last line is validated explicitly.
     """
     s = m.dset
-    compact, _ = is_compact(s)
-    if not compact:
-        raise MetricError("star transform requires a compact distance set")
-    if len(blocks(s).nontrivial) < 2:
-        raise MetricError("star transform requires at least two nontrivial blocks")
+    _require_compact_two_blocks(s, "star transform")
     if choice is None:
         choice = choose_sigma(s)
     elif choice.base != s:
@@ -572,22 +569,16 @@ def star_transform(m: FinMetricSpace, choice: SigmaChoice | None = None
     classes = sim_partition(m)
     bp = blocks(s)
 
-    def block_min(v: Fraction) -> Fraction:
-        return bp.blocks[bp.block_index(v)][0]
-
     # the class-to-class distance must not depend on representatives
     for c1, c2 in itertools.combinations(classes, 2):
-        mins = {block_min(m.d[x][y]) for x in c1 for y in c2}
+        mins = {bp.block_min(m.d[x][y]) for x in c1 for y in c2}
         if len(mins) != 1:
             raise IntegrityError("class distance not well defined; "
                                  "set is not compact or space is corrupt")
 
     n = m.size
     k = len(classes)
-    class_of = {}
-    for ci, cls in enumerate(classes):
-        for x in cls:
-            class_of[x] = ci
+    class_of = _class_of(classes)
     size = n + k
     dd = [[Fraction(0)] * size for _ in range(size)]
     for x in range(n):
@@ -600,7 +591,7 @@ def star_transform(m: FinMetricSpace, choice: SigmaChoice | None = None
     for ci in range(k):
         for cj in range(ci + 1, k):
             rep_i, rep_j = classes[ci][0], classes[cj][0]
-            v = choice.forward(block_min(m.d[rep_i][rep_j]))
+            v = choice.forward(bp.block_min(m.d[rep_i][rep_j]))
             dd[n + ci][n + cj] = dd[n + cj][n + ci] = v
 
     space = FinMetricSpace(choice.sigma, tuple(tuple(row) for row in dd))
@@ -621,10 +612,7 @@ def star_embed(f: Sequence[int], star_src: StarSpace, star_dst: StarSpace
     f = tuple(f)
     if len(f) != n:
         raise MetricError("embedding not defined on the whole base")
-    dst_class_of = {}
-    for ci, cls in enumerate(star_dst.classes):
-        for x in cls:
-            dst_class_of[x] = ci
+    dst_class_of = _class_of(star_dst.classes)
     lifted = list(f)
     for cls in star_src.classes:
         target_classes = {dst_class_of[f[x]] for x in cls}
@@ -707,7 +695,7 @@ def recover_quotient_space(w: FinMetricSpace, w0: Sequence[int],
                 if cross not in spectral:
                     raise IntegrityError("class points at a non-spectral distance")
                 v = space.d[position[x]][position[y]]
-                if bp.blocks[bp.block_index(v)][0] != choice.backward(cross):
+                if bp.block_min(v) != choice.backward(cross):
                     raise IntegrityError("cross-class distance outside the "
                                          "block its class points record")
     return space, rest

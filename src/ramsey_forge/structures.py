@@ -179,10 +179,6 @@ class Embedding:
     def __call__(self, v: int) -> int:
         return self.map[v]
 
-    @property
-    def image(self) -> frozenset[int]:
-        return frozenset(self.map)
-
 
 def identity_embedding(a: FinStructure) -> Embedding:
     return Embedding(a, a, tuple(range(a.size)), _checked=True)
@@ -322,7 +318,6 @@ def first_embedding(a: FinStructure, b: FinStructure) -> Embedding | None:
     return None
 
 
-@lru_cache(maxsize=None)
 def hom_nonempty(a: FinStructure, b: FinStructure) -> bool:
     return first_embedding(a, b) is not None
 

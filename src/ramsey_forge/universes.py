@@ -31,9 +31,6 @@ from .structures import (
     restriction,
 )
 
-KINDS = ("rado", "ordered_rado", "acyclic_universal", "henson3",
-         "acyclic_triangle_free", "rational_chain", "permutational_poset")
-
 ORDERED_GRAPH_SIG = Signature.make(("E", 2, TAG_SYMMETRIC), ("omega", 2, TAG_LINEAR))
 
 
@@ -161,6 +158,7 @@ _GENERATORS = {
     "rational_chain": rational_chain,
     "permutational_poset": permutational_poset,
 }
+KINDS = tuple(_GENERATORS)
 
 
 def generate(kind: str, n: int) -> FinStructure:
@@ -252,9 +250,6 @@ class UniversalityReport:
     @property
     def all_embedded(self) -> bool:
         return all(e.embedded for e in self.entries)
-
-    def minimal_segments(self) -> dict[int, int | None]:
-        return {e.member_index: e.minimal_segment for e in self.entries}
 
 
 def check_universal(kind: str, klass: StructClass, max_size: int,

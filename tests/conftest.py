@@ -58,15 +58,20 @@ def brute_force_canonical_key(a: FinStructure):
 
 def every_instance_class_property(property_name, klass, max_size,
                                   amalgam_bound=None):
-    """AP or SAP with every instance searched, mirrors included.
+    """AP, SAP or JEP with every instance searched, mirrors included.
 
     The loop of :func:`diagrams.check_class_property` without its mirror
-    skip, to check that skipping changes no report.
+    skip, to check that skipping changes no report.  JEP is amalgamation
+    over the empty structure: every ordered member pair is searched and
+    reported as ``(xi, yi)``.
     """
     members = klass.members_up_to(max_size)
+    jep = property_name == "JEP"
+    empty = FinStructure(klass.signature, 0,
+                         tuple(frozenset() for _ in klass.signature.relations))
     checked = 0
     undecided = []
-    for ai, x in enumerate(members):
+    for ai, x in enumerate((empty,) if jep else members):
         for bi, yb in enumerate(members):
             for ci, yc in enumerate(members):
                 bound = (amalgam_bound if amalgam_bound is not None
@@ -74,7 +79,8 @@ def every_instance_class_property(property_name, klass, max_size,
                 for f in diagrams._orbit_representatives(x, yb):
                     for g in diagrams._orbit_representatives(x, yc):
                         checked += 1
-                        instance = (ai, bi, ci, f.map, g.map)
+                        instance = ((bi, ci) if jep
+                                    else (ai, bi, ci, f.map, g.map))
                         status = diagrams.amalgamate(
                             x, yb, yc, f, g, bound=bound,
                             predicate=klass.predicate).status

@@ -307,6 +307,19 @@ class TestBadInputIsUsageError:
                                   "-k", "2", "-t", "1", "--witness-out",
                                   str(tmp_path / "missing" / "w.json")])
 
+    @pytest.mark.parametrize("command", [
+        ["fraisse", "check", "--class", "chains", "--property", "AP",
+         "--max-size", "2"],
+        ["universe", "gen", "--kind", "rado", "-n", "4"],
+    ], ids=["fraisse-check", "universe-gen"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_dot_is_no_output_format(self, capsys, tmp_path, command, source):
+        cfg = tmp_path / "forge.cfg"
+        cfg.write_text("format=dot\n")
+        head = (["--format", "dot"] if source == "flag"
+                else ["--config", str(cfg)])
+        self.usage_error(capsys, head + command)
+
     def test_unwritable_gen_out(self, capsys, tmp_path):
         self.usage_error(capsys, ["universe", "gen", "--kind", "rado", "-n", "4",
                                   "--out", str(tmp_path / "missing" / "g.json")])

@@ -1,8 +1,13 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
-from ramsey_forge import catalog
+from ramsey_forge import catalog, diagrams
 from ramsey_forge.diagrams import (
     EXHAUSTED,
     FOUND,
@@ -32,6 +37,8 @@ from ramsey_forge.structures import (
 )
 
 from conftest import every_instance_class_property
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestBinaryDigraph:
@@ -342,7 +349,13 @@ MIRROR_CASES = (
     + [("AP", catalog.CLASSES[name], 4, None) for name in ("graphs", "dags")]
     + [("AP", catalog.CLASSES[name], 3, bound)
        for name in ("chains", "graphs") for bound in range(2, 6)]
-    + [("AP", GRAPHS_LE_2, 2, None)])
+    + [("AP", GRAPHS_LE_2, 2, None)]
+    + [("JEP", catalog.CLASSES[name], 3, bound)
+       for name in catalog.CLASSES for bound in (None, 1, 2, 3, 4)]
+    + [("JEP", catalog.CLASSES[name], 4, None)
+       for name in ("chains", "graphs", "oriented-graphs", "triangle-free",
+                    "dags", "posets")]
+    + [("JEP", GRAPHS_LE_2, 2, None)])
 
 
 @pytest.mark.parametrize(
@@ -351,6 +364,51 @@ MIRROR_CASES = (
 def test_mirror_skip_changes_no_report(prop, klass, max_size, bound):
     assert check_class_property(prop, klass, max_size, amalgam_bound=bound) \
         == every_instance_class_property(prop, klass, max_size, bound)
+
+
+def test_jep_searches_each_unordered_pair_once(monkeypatch):
+    calls = []
+    original = diagrams.amalgamate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(diagrams, "amalgamate", counting)
+    report = check_class_property("JEP", catalog.CLASSES["graphs"], 4)
+    members = len(catalog.CLASSES["graphs"].members_up_to(4))
+    assert report.holds
+    assert report.instances_checked == members * members == 324
+    assert len(calls) == members * (members + 1) // 2 == 171
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "no-asserts"])
+def test_forged_completion_is_rejected(flags):
+    """A completion that is not an amalgam or cocone tip raises
+    StructureError, also when asserts are compiled out."""
+    script = textwrap.dedent("""
+        from ramsey_forge import catalog, diagrams
+        from ramsey_forge.structures import Embedding, StructureError
+        # every completion is edgeless, so no leg embeds K2
+        diagrams._complete_structures = (
+            lambda signature, size, *rest: iter([catalog.graph(size, [])]))
+        k1, k2 = catalog.complete_graph(1), catalog.complete_graph(2)
+        f = Embedding(k1, k2, (0,))
+        for search in (lambda: diagrams.amalgamate(k1, k2, k2, f, f),
+                       lambda: diagrams.find_cocone(diagrams.ab_diagram(
+                           k1, k2, [((0,), (0,), 0, 1)], 2), 3)):
+            try:
+                search()
+            except StructureError:
+                print("rejected")
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "rejected\nrejected\n"
 
 
 @pytest.mark.parametrize("name", ["graphs", "oriented-graphs", "tournaments",
