@@ -16,7 +16,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -95,12 +94,16 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(budget, fmt)
 
 
-def _emit(doc: dict, config: RunConfig) -> None:
+def _render(doc: dict, config: RunConfig) -> str:
+    """A report in the configured format, one trailing newline."""
     if config.fmt == "text":
-        for key in sorted(doc):
-            print(f"{key}: {json.dumps(doc[key], sort_keys=True)}")
-    else:
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        return "".join(f"{key}: {json.dumps(doc[key], sort_keys=True)}\n"
+                       for key in sorted(doc))
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _emit(doc: dict, config: RunConfig) -> None:
+    sys.stdout.write(_render(doc, config))
 
 
 def _read_structure(path: str) -> structures.FinStructure:
@@ -126,8 +129,8 @@ def _write_file(path: str, text: str) -> None:
 
 def _parse_set(text: str) -> metric.DistanceSet:
     try:
-        return metric.DistanceSet.make(Fraction(part) for part in text.split(","))
-    except (ValueError, metric.MetricError) as exc:
+        return metric.DistanceSet.make(text.split(","))
+    except metric.MetricError as exc:
         raise UsageError(f"bad distance set {text!r}: {exc}") from exc
 
 
@@ -250,9 +253,8 @@ def _cmd_universe_gen(args: argparse.Namespace, config: RunConfig) -> int:
         segment = universes.generate(kind, args.n)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    doc = structures.structure_to_dict(segment)
     text = (structures.structure_to_dot(segment) if args.dot
-            else json.dumps(doc, sort_keys=True, indent=2) + "\n")
+            else _render(structures.structure_to_dict(segment), config))
     if args.out:
         _write_file(args.out, text)
     else:
@@ -291,7 +293,10 @@ def _cmd_universe_audit(args: argparse.Namespace, config: RunConfig) -> int:
 def _cmd_metric_analyze(args: argparse.Namespace, config: RunConfig) -> int:
     dset = _parse_set(args.set)
     bp = metric.blocks(dset)
-    compact, compact_ce = metric.is_compact(dset)
+    try:
+        compact, compact_ce = metric.is_compact(dset)
+    except metric.MetricError as exc:
+        raise UsageError(f"bad distance set {args.set!r}: {exc}") from exc
     four, four_ce = metric.check_4values(dset)
     doc = {
         "check": "distance-set",

@@ -8,22 +8,30 @@ constructions implemented here: the strong amalgamation of spanned metric
 spaces, the star transform squeezing a multi-block space into a one-block
 spectrum, and the quotient recovery inverting it.
 
-All arithmetic is exact (``fractions.Fraction``); the predicates here are
-equality-sensitive and floating point would corrupt them.
+All arithmetic is exact; the predicates here are equality-sensitive and
+floating point would corrupt them.  A :class:`DistanceSet` multiplies its
+values once, on construction, by the least common multiple of their
+denominators, which makes every value an integer.  Each test made here is
+homogeneous and linear in the values (the order, the triangle inequality,
+``2v < next`` for jumps, ``|x-y| <= s1`` for compactness), so a positive
+common factor changes no answer, and the inner loops run on those integers
+and on value-to-position lookups.  ``fractions.Fraction`` appears only at
+the boundary: input parsing (:func:`_frac`), JSON I/O and the public fields
+and return values, which are the original rationals.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .structures import TAG_SYMMETRIC, FinStructure, Signature
-
-Rational = Fraction | int
 
 
 class MetricError(ValueError):
@@ -35,33 +43,66 @@ class IntegrityError(MetricError):
 
 
 def _frac(x) -> Fraction:
+    """An exact rational from a Fraction, an int or a string such as
+    ``"3/2"``; floats, bools and malformed strings raise MetricError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise MetricError(f"not an exact rational: {x!r}")
 
 
 @dataclass(frozen=True)
 class DistanceSet:
-    """A strictly increasing tuple of nonnegative rationals starting at 0."""
+    """A strictly increasing tuple of nonnegative rationals starting at 0.
+
+    ``_scaled`` holds the values times ``_lcm``, the least common multiple
+    of their denominators.  Both are functions of ``values``: equality
+    compares ``values`` alone, and the hash is taken over the integers
+    because hashing them is much cheaper than hashing the rationals.
+    """
 
     values: tuple[Fraction, ...]
+    _lcm: int = field(init=False, repr=False, compare=False)
+    _scaled: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.values or self.values[0] != 0:
+        vals = self.values
+        if not all(isinstance(v, Fraction) for v in vals):
+            raise MetricError("distance set values must be Fractions")
+        ratios = [v.as_integer_ratio() for v in vals]
+        lcm = math.lcm(*[den for _, den in ratios])
+        scaled = tuple([num * (lcm // den) for num, den in ratios])
+        if not scaled or scaled[0] != 0:
             raise MetricError("distance set must start at 0")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
+        if any(b <= a for a, b in zip(scaled, scaled[1:])):
             raise MetricError("distance set must be strictly increasing")
+        object.__setattr__(self, "_lcm", lcm)
+        object.__setattr__(self, "_scaled", scaled)
+
+    def __hash__(self) -> int:
+        return hash((self._lcm, self._scaled))
 
     @staticmethod
     def make(values: Iterable) -> "DistanceSet":
         return DistanceSet(tuple(_frac(v) for v in values))
 
+    def _position(self, x: Fraction) -> int | None:
+        """Index of the value ``x`` in the set, or None if it is no member."""
+        num, den = x.as_integer_ratio()
+        q, r = divmod(num * self._lcm, den)
+        i = bisect.bisect_left(self._scaled, q)
+        if r or i == len(self._scaled) or self._scaled[i] != q:
+            return None
+        return i
+
     def __contains__(self, x) -> bool:
-        return _frac(x) in self.values
+        return self._position(_frac(x)) is not None
 
     def __len__(self) -> int:
         return len(self.values)
@@ -82,11 +123,17 @@ class BlockPartition:
     """Jump numbers and the block intervals they delimit.
 
     The first block is always the trivial ``(0,)``; every other block is a
-    maximal run of values ending at a jump.
+    maximal run of values ending at a jump.  ``_of`` gives the block number
+    of each value by its position in the distance set.
     """
 
     jumps: tuple[Fraction, ...]
     blocks: tuple[tuple[Fraction, ...], ...]
+    _of: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_of", tuple(
+            [i for i, blk in enumerate(self.blocks) for _ in blk]))
 
     @property
     def nontrivial(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -94,33 +141,34 @@ class BlockPartition:
 
     def block_index(self, x: Fraction) -> int:
         """1-based block number of a positive value (0 = trivial block)."""
-        for i, blk in enumerate(self.blocks):
-            if x in blk:
-                return i
-        raise MetricError(f"{x} is not a member of the distance set")
+        # block i holds the values above jump i-1 up to jump i
+        i = bisect.bisect_left(self.jumps, x)
+        if i == len(self.jumps) or x not in self.blocks[i]:
+            raise MetricError(f"{x} is not a member of the distance set")
+        return i
 
     def block_min(self, x: Fraction) -> Fraction:
         """Least value of the block that ``x`` lies in."""
         return self.blocks[self.block_index(x)][0]
 
 
+def _jump_positions(s: DistanceSet) -> list[int]:
+    ints = s._scaled
+    last = len(ints) - 1
+    return [i for i in range(last + 1) if i == last or 2 * ints[i] < ints[i + 1]]
+
+
 def jump_numbers(s: DistanceSet) -> tuple[Fraction, ...]:
     """Values that are last, or less than half their successor."""
-    vals = s.values
-    n = len(vals) - 1
-    return tuple(v for i, v in enumerate(vals)
-                 if i == n or 2 * v < vals[i + 1])
+    return tuple(s.values[i] for i in _jump_positions(s))
 
 
 @lru_cache(maxsize=None)
 def blocks(s: DistanceSet) -> BlockPartition:
-    jumps = jump_numbers(s)
-    out: list[tuple[Fraction, ...]] = [(Fraction(0),)]
-    prev = Fraction(0)
-    for j in jumps[1:]:
-        out.append(tuple(v for v in s.values if prev < v <= j))
-        prev = j
-    return BlockPartition(jumps, tuple(out))
+    ends = _jump_positions(s)
+    vals = s.values
+    out = [vals[:1]] + [vals[a + 1:b + 1] for a, b in zip(ends, ends[1:])]
+    return BlockPartition(tuple(vals[i] for i in ends), tuple(out))
 
 
 def approx(s: DistanceSet, x, y) -> bool:
@@ -143,7 +191,9 @@ def ll(s: DistanceSet, x, y) -> bool:
 
 def is_metric_triple(a, b, c) -> bool:
     """The three triangle inequalities on positive values."""
-    a, b, c = _frac(a), _frac(b), _frac(c)
+    (an, ad), (bn, bd), (cn, cd) = (_frac(v).as_integer_ratio() for v in (a, b, c))
+    # the same inequalities times the positive common denominator ad*bd*cd
+    a, b, c = an * bd * cd, bn * ad * cd, cn * ad * bd
     if a <= 0 or b <= 0 or c <= 0:
         raise MetricError("metric triples consist of positive values")
     return a + b >= c and b + c >= a and c + a >= b
@@ -158,13 +208,12 @@ def is_compact(s: DistanceSet) -> tuple[bool, tuple[Fraction, Fraction] | None]:
     """
     if len(s) < 2:
         raise MetricError("compactness needs at least one positive value")
-    bp = blocks(s)
-    s1 = s.s1
-    for x, y in itertools.combinations_with_replacement(s.positive, 2):
-        same = bp.block_index(x) == bp.block_index(y)
-        close = abs(x - y) <= s1
-        if close != same:
-            return False, (x, y)
+    of = blocks(s)._of
+    ints = s._scaled
+    s1 = ints[1]
+    for i, j in itertools.combinations_with_replacement(range(1, len(ints)), 2):
+        if (ints[j] - ints[i] <= s1) != (of[i] == of[j]):
+            return False, (s.values[i], s.values[j])
     return True, None
 
 
@@ -183,9 +232,14 @@ def classify_triple(s: DistanceSet, a, b, c) -> str:
     compact, _ = is_compact(s)
     if not compact:
         raise MetricError("classification requires a compact distance set")
-    a, b, c = sorted((_frac(a), _frac(b), _frac(c)))
-    bp = blocks(s)
-    ia, ib, ic = bp.block_index(a), bp.block_index(b), bp.block_index(c)
+    triple = (_frac(a), _frac(b), _frac(c))
+    at = [s._position(v) for v in triple]
+    if None in at:
+        missing = min(v for v, i in zip(triple, at) if i is None)
+        raise MetricError(f"{missing} is not a member of the distance set")
+    # block numbers grow with the values, so sorting them sorts the triple
+    of = blocks(s)._of
+    ia, ib, ic = sorted(of[i] for i in at)
     if ia == ib == ic:
         return EQUILATERAL
     if ia < ib == ic:
@@ -199,24 +253,27 @@ def check_4values(s: DistanceSet
 
     For every (a, b, c, d) joined by some p (both (a,b,p) and (c,d,p)
     metric), some q must join the cross pairs (a,c,q) and (b,d,q).  The
-    per-p work is aggregated into bitmasks; the logic is the plain
-    definition.
+    positive p making (a,b,p) metric are those with ``|a-b| <= p <= a+b``,
+    a run of consecutive positions, kept as a bitmask over p.
     """
-    pos = s.positive
+    pos = s._scaled[1:]
     m = len(pos)
     joined = [[0] * m for _ in range(m)]  # bitmask over p of is_metric_triple
     for i, a in enumerate(pos):
         for j, b in enumerate(pos):
-            mask = 0
-            for pi, p in enumerate(pos):
-                if is_metric_triple(a, b, p):
-                    mask |= 1 << pi
-            joined[i][j] = mask
-    for i, j, k, l in itertools.product(range(m), repeat=4):
-        premise = joined[i][j] & joined[k][l]
-        if premise and not (joined[i][k] & joined[j][l]):
-            p = pos[(premise & -premise).bit_length() - 1]
-            return False, (pos[i], pos[j], pos[k], pos[l], p)
+            lo = bisect.bisect_left(pos, abs(a - b))
+            hi = bisect.bisect_right(pos, a + b)
+            joined[i][j] = (1 << hi) - (1 << lo)
+    # (i, j, k, l) in lexicographic order, so the first failure is reported
+    for i, row_i in enumerate(joined):
+        for j, row_j in enumerate(joined):
+            for k, row_k in enumerate(joined):
+                for l in range(m):
+                    premise = row_i[j] & row_k[l]
+                    if premise and not row_i[k] & row_j[l]:
+                        p = (premise & -premise).bit_length() - 1
+                        vals = s.positive
+                        return False, (vals[i], vals[j], vals[k], vals[l], vals[p])
     return True, None
 
 
@@ -227,30 +284,39 @@ def check_4values(s: DistanceSet
 @dataclass(frozen=True)
 class FinMetricSpace:
     """A finite point set with an exact-rational metric whose spectrum lies
-    in a declared distance set."""
+    in a declared distance set.
+
+    ``_at`` holds the position of each distance in the declared set, which
+    order, equality and block tests use in place of the rationals.
+    """
 
     dset: DistanceSet
     d: tuple[tuple[Fraction, ...], ...]
+    _at: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.d)
-        allowed = set(self.dset.values)
+        if any(len(row) != n for row in self.d):
+            raise MetricError("distance matrix must be square")
+        position = self.dset._position
+        at = tuple(tuple(position(v) for v in row) for row in self.d)
         for i in range(n):
-            if len(self.d[i]) != n:
-                raise MetricError("distance matrix must be square")
             for j in range(n):
-                v = self.d[i][j]
-                if v != self.d[j][i]:
+                p = at[i][j]
+                # None marks a distance outside the set: compare those exactly
+                if p != at[j][i] or (p is None and self.d[i][j] != self.d[j][i]):
                     raise MetricError(f"matrix not symmetric at ({i},{j})")
-                if (v == 0) != (i == j):
+                if (p == 0) != (i == j):
                     raise MetricError(f"zero distance exactly on the diagonal ({i},{j})")
-                if v not in allowed:
-                    raise MetricError(f"distance {v} outside declared set")
+                if p is None:
+                    raise MetricError(f"distance {self.d[i][j]} outside declared set")
+        scaled = self.dset._scaled
+        w = [[scaled[p] for p in row] for row in at]
         for i, j, k in itertools.combinations(range(n), 3):
-            if (self.d[i][j] + self.d[j][k] < self.d[i][k]
-                    or self.d[j][i] + self.d[i][k] < self.d[j][k]
-                    or self.d[i][k] + self.d[k][j] < self.d[i][j]):
+            if (w[i][j] + w[j][k] < w[i][k] or w[i][j] + w[i][k] < w[j][k]
+                    or w[i][k] + w[j][k] < w[i][j]):
                 raise MetricError(f"triangle inequality fails on ({i},{j},{k})")
+        object.__setattr__(self, "_at", at)
 
     @staticmethod
     def make(dset, matrix: Sequence[Sequence]) -> "FinMetricSpace":
@@ -271,10 +337,17 @@ class FinMetricSpace:
             tuple(self.d[x][y] for y in pts) for x in pts))
 
 
+def _comparable(m1: FinMetricSpace, m2: FinMetricSpace) -> tuple:
+    """Matrices of the two spaces that compare as their distances do: the
+    positions when both lie over one distance set, else the rationals."""
+    return (m1._at, m2._at) if m1.dset == m2.dset else (m1.d, m2.d)
+
+
 def enumerate_isometric_embeddings(m1: FinMetricSpace, m2: FinMetricSpace
                                    ) -> tuple[tuple[int, ...], ...]:
     """All distance-preserving injections, in lexicographic order."""
     n1, n2 = m1.size, m2.size
+    d1, d2 = _comparable(m1, m2)
     out: list[tuple[int, ...]] = []
     assignment: list[int] = []
 
@@ -285,7 +358,7 @@ def enumerate_isometric_embeddings(m1: FinMetricSpace, m2: FinMetricSpace
         for w in range(n2):
             if w in assignment:
                 continue
-            if all(m1.d[v][u] == m2.d[w][assignment[u]] for u in range(v)):
+            if all(d1[v][u] == d2[w][assignment[u]] for u in range(v)):
                 assignment.append(w)
                 extend(v + 1)
                 assignment.pop()
@@ -311,12 +384,11 @@ def sim_partition(m: FinMetricSpace) -> tuple[tuple[int, ...], ...]:
     valid inputs; it is verified rather than assumed, and a violation is
     reported as data corruption.
     """
-    bp = blocks(m.dset)
-    first = set(bp.blocks[1]) if len(bp.blocks) > 1 else set()
-    near = first | {Fraction(0)}
+    # the trivial and first blocks are the least positions of the set
+    near = sum(len(blk) for blk in blocks(m.dset).blocks[:2]) - 1
 
     def sim(x: int, y: int) -> bool:
-        return m.d[x][y] in near
+        return m._at[x][y] <= near
 
     classes: list[list[int]] = []
     for x in range(m.size):
@@ -469,13 +541,24 @@ def sap_amalgamate_metL(m: FinMetricSpace, mp: FinMetricSpace,
     return amalgam, into_p, into_pp
 
 
+def _check_injection(mapping: Sequence[int], domain: int, codomain: int,
+                     label: str) -> None:
+    """``mapping`` must send each of ``domain`` points to its own point of
+    ``range(codomain)``; checked before any use of it as an index."""
+    if len(mapping) != domain or len(set(mapping)) != domain:
+        raise MetricError(f"{label}: not an injection on the whole domain")
+    if not all(isinstance(v, int) and 0 <= v < codomain for v in mapping):
+        raise MetricError(f"{label}: maps outside the {codomain} points of its target")
+
+
 def _check_isometric_map(src: FinMetricSpace, dst: FinMetricSpace,
                          mapping: Sequence[int], label: str) -> None:
-    if len(mapping) != src.size or len(set(mapping)) != src.size:
-        raise MetricError(f"{label}: not an injection on the whole domain")
+    _check_injection(mapping, src.size, dst.size, label)
+    d1, d2 = _comparable(src, dst)
     for x in range(src.size):
+        row = d2[mapping[x]]
         for y in range(src.size):
-            if src.d[x][y] != dst.d[mapping[x]][mapping[y]]:
+            if d1[x][y] != row[mapping[y]]:
                 raise MetricError(f"{label}: not isometric at ({x},{y})")
 
 
@@ -568,11 +651,11 @@ def star_transform(m: FinMetricSpace, choice: SigmaChoice | None = None
         raise MetricError("sigma choice built for a different distance set")
     classes = sim_partition(m)
     bp = blocks(s)
+    at = m._at
 
     # the class-to-class distance must not depend on representatives
     for c1, c2 in itertools.combinations(classes, 2):
-        mins = {bp.block_min(m.d[x][y]) for x in c1 for y in c2}
-        if len(mins) != 1:
+        if len({bp._of[at[x][y]] for x in c1 for y in c2}) != 1:
             raise IntegrityError("class distance not well defined; "
                                  "set is not compact or space is corrupt")
 
@@ -591,7 +674,7 @@ def star_transform(m: FinMetricSpace, choice: SigmaChoice | None = None
     for ci in range(k):
         for cj in range(ci + 1, k):
             rep_i, rep_j = classes[ci][0], classes[cj][0]
-            v = choice.forward(bp.block_min(m.d[rep_i][rep_j]))
+            v = choice.forward(bp.blocks[bp._of[at[rep_i][rep_j]]][0])
             dd[n + ci][n + cj] = dd[n + cj][n + ci] = v
 
     space = FinMetricSpace(choice.sigma, tuple(tuple(row) for row in dd))
@@ -612,6 +695,7 @@ def star_embed(f: Sequence[int], star_src: StarSpace, star_dst: StarSpace
     f = tuple(f)
     if len(f) != n:
         raise MetricError("embedding not defined on the whole base")
+    _check_injection(f, n, star_dst.base_size, "embedding")
     dst_class_of = _class_of(star_dst.classes)
     lifted = list(f)
     for cls in star_src.classes:
@@ -746,12 +830,12 @@ def metric_to_kgraph(m: FinMetricSpace) -> FinStructure:
     palette = bp.nontrivial[0]
     sig = Signature.make(*[(f"E{i + 1}", 2, TAG_SYMMETRIC)
                            for i in range(len(palette))])
+    # with one nontrivial block, the i-th palette value sits at position i+1
     rels: list[set] = [set() for _ in palette]
-    index = {v: i for i, v in enumerate(palette)}
     for x in range(m.size):
         for y in range(m.size):
             if x != y:
-                rels[index[m.d[x][y]]].add((x, y))
+                rels[m._at[x][y] - 1].add((x, y))
     return FinStructure(sig, m.size, tuple(frozenset(r) for r in rels))
 
 
@@ -776,6 +860,11 @@ def metric_to_json(m: FinMetricSpace) -> str:
 
 
 def metric_from_dict(doc: dict) -> FinMetricSpace:
+    if not (isinstance(doc, dict) and isinstance(doc.get("set"), list)
+            and isinstance(doc.get("d"), list)
+            and all(isinstance(row, list) for row in doc["d"])):
+        raise MetricError('a metric space is an object with a "set" list '
+                          'and a "d" list of rows')
     return FinMetricSpace.make(doc["set"], doc["d"])
 
 

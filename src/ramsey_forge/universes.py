@@ -112,18 +112,27 @@ def acyclic_triangle_free(n: int) -> FinStructure:
     return FinStructure.build(ORIENTED_SIG, n, {"arc": arcs})
 
 
-@lru_cache(maxsize=None)
+def _rational_points(n: int) -> list[Fraction]:
+    """The first n positive rationals of the Calkin-Wilf walk, which starts
+    at 1 and steps from q to 1 / (2 floor(q) - q + 1)."""
+    points: list[Fraction] = []
+    q = Fraction(1)
+    for _ in range(n):
+        points.append(q)
+        q = 1 / (2 * (q.numerator // q.denominator) - q + 1)
+    return points
+
+
 def rational_point(i: int) -> Fraction:
     """The i-th positive rational of the Calkin-Wilf walk (starts at 1)."""
-    if i == 0:
-        return Fraction(1)
-    q = rational_point(i - 1)
-    return 1 / (2 * (q.numerator // q.denominator) - q + 1)
+    if i < 0:
+        raise ValueError("the Calkin-Wilf walk has no negative indices")
+    return _rational_points(i + 1)[i]
 
 
 def rational_chain(n: int) -> FinStructure:
     """A permutation: the rational order against the enumeration order."""
-    points = [rational_point(i) for i in range(n)]
+    points = _rational_points(n)
     lt = [(i, j) for i in range(n) for j in range(n)
           if i != j and points[i] < points[j]]
     return FinStructure.build(PERM_SIG, n, {
@@ -136,7 +145,7 @@ def permutational_poset(n: int) -> FinStructure:
     """Meet of the rational order with the enumeration order, kept alongside
     the enumeration order.  Free of the three-point obstruction by
     construction (certified below)."""
-    points = [rational_point(i) for i in range(n)]
+    points = _rational_points(n)
     po = [(i, j) for i in range(n) for j in range(i + 1, n)
           if points[i] < points[j]]
     result = FinStructure.build(LOPOSET_SIG, n, {

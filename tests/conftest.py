@@ -9,7 +9,9 @@ shortcut that the class-property loop takes.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -144,3 +146,88 @@ def metric_corpus():
                                    (0, 1), (0, 1), l))
     assert len(corpus) >= 100
     return corpus
+
+
+# ---------------------------------------------------------------------------
+# the Fraction reference for the metric module's integer core: jumps,
+# blocks, compactness, the 4-values condition and triple classification as
+# plain definitions in Fraction arithmetic, on a sorted tuple of Fractions
+
+
+def fraction_blocks(values):
+    """Jump numbers (last, or less than half the successor) and the blocks
+    they close, the first block being ``(0,)``."""
+    last = len(values) - 1
+    jumps = tuple(v for i, v in enumerate(values)
+                  if i == last or 2 * v < values[i + 1])
+    out = [(Fraction(0),)]
+    prev = Fraction(0)
+    for j in jumps[1:]:
+        out.append(tuple(v for v in values if prev < v <= j))
+        prev = j
+    return jumps, tuple(out)
+
+
+def _fraction_block_index(blocks, x):
+    for i, blk in enumerate(blocks):
+        if x in blk:
+            return i
+    raise ValueError(f"{x} is not a member of the distance set")
+
+
+def fraction_is_compact(values):
+    """``|x-y| <= s1`` iff same block, over all positive pairs; the first
+    failing pair in ``combinations_with_replacement`` order."""
+    _, blocks = fraction_blocks(values)
+    s1 = values[1]
+    for x, y in itertools.combinations_with_replacement(values[1:], 2):
+        same = _fraction_block_index(blocks, x) == _fraction_block_index(blocks, y)
+        if (abs(x - y) <= s1) != same:
+            return False, (x, y)
+    return True, None
+
+
+def fraction_metric_triple(a, b, c):
+    return a + b >= c and b + c >= a and c + a >= b
+
+
+def fraction_check_4values(values):
+    """Every (a, b, c, d) joined by some p is cross-joined by some q; the
+    first failure in lexicographic order, with its least p."""
+    pos = values[1:]
+    m = len(pos)
+    joined = [[0] * m for _ in range(m)]
+    for i, a in enumerate(pos):
+        for j, b in enumerate(pos):
+            for pi, p in enumerate(pos):
+                if fraction_metric_triple(a, b, p):
+                    joined[i][j] |= 1 << pi
+    for i, j, k, l in itertools.product(range(m), repeat=4):
+        premise = joined[i][j] & joined[k][l]
+        if premise and not (joined[i][k] & joined[j][l]):
+            p = pos[(premise & -premise).bit_length() - 1]
+            return False, (pos[i], pos[j], pos[k], pos[l], p)
+    return True, None
+
+
+def fraction_classify_triple(values, a, b, c):
+    """Block pattern of a triple of members of a compact set."""
+    from ramsey_forge.metric import EQUILATERAL, ISOSCELES, NON_METRIC
+
+    _, blocks = fraction_blocks(values)
+    ia, ib, ic = (_fraction_block_index(blocks, x) for x in sorted((a, b, c)))
+    if ia == ib == ic:
+        return EQUILATERAL
+    if ia < ib == ic:
+        return ISOSCELES
+    return NON_METRIC
+
+
+@functools.cache
+def recursive_rational_point(i):
+    """The i-th rational of the Calkin-Wilf walk by its recursive
+    definition; ask in increasing order to keep the recursion shallow."""
+    if i == 0:
+        return Fraction(1)
+    q = recursive_rational_point(i - 1)
+    return 1 / (2 * (q.numerator // q.denominator) - q + 1)

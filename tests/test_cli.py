@@ -163,6 +163,18 @@ class TestUniverseCommand:
         assert structures.structure_from_json(
             target.read_text()) == universes.acyclic_universal(32)
 
+    def test_gen_text_format(self, capsys, tmp_path):
+        doc = structures.structure_to_dict(universes.generate("rado", 2))
+        want = "".join(f"{key}: {json.dumps(doc[key], sort_keys=True)}\n"
+                       for key in sorted(doc))
+        code, out = run(capsys, ["--format", "text", "universe", "gen",
+                                 "--kind", "rado", "-n", "2"])
+        assert code == EXIT_OK and out == want
+        target = tmp_path / "rado2.txt"
+        code, _ = run(capsys, ["--format", "text", "universe", "gen", "--kind",
+                               "rado", "-n", "2", "--out", str(target)])
+        assert code == EXIT_OK and target.read_text() == want
+
     def test_audit(self, capsys):
         code, out = run(capsys, ["universe", "audit", "--kind", "rado",
                                  "--class", "graphs", "--max-size", "3",
@@ -323,6 +335,36 @@ class TestBadInputIsUsageError:
     def test_unwritable_gen_out(self, capsys, tmp_path):
         self.usage_error(capsys, ["universe", "gen", "--kind", "rado", "-n", "4",
                                   "--out", str(tmp_path / "missing" / "g.json")])
+
+    def metric_file(self, tmp_path, name, d, values=(0, 1, 2, 5, 6)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"set": list(values), "d": d}))
+        return str(path)
+
+    def test_metric_amalgamate_map_past_the_end(self, capsys, tmp_path):
+        # the shared space is taken as the first points of each side, so a
+        # 3-point M cannot map into a 2-point Mp
+        three = self.metric_file(tmp_path, "three", [[0, 5, 1], [5, 0, 5], [1, 5, 0]])
+        two = self.metric_file(tmp_path, "two", [[0, 5], [5, 0]])
+        self.usage_error(capsys, ["metric", "amalgamate", "--M", three,
+                                  "--Mp", two, "--Mpp", three, "--L", two])
+
+    @pytest.mark.parametrize("values", ["0", "0,1/0"],
+                             ids=["no-positive-value", "zero-denominator"])
+    def test_metric_analyze_bad_set(self, capsys, values):
+        self.usage_error(capsys, ["metric", "analyze", "--set", values])
+
+    @pytest.mark.parametrize("doc", [
+        {"set": [0, 1, 2, 5, 6], "d": [[0, "1/0"], ["1/0", 0]]},
+        {"set": [0, 1, 2, 5, 6], "d": [[0, "x"], ["x", 0]]},
+        {"set": [0, 1, 2, 5, 6], "d": [[0, True], [True, 0]]},
+        {"d": [[0, 1], [1, 0]]},
+        {"set": [0, 1, 2, 5, 6], "d": [[0, 1, 1], [1, 0, 1], [1]]},
+    ], ids=["zero-denominator", "malformed", "bool", "no-set", "ragged"])
+    def test_metric_star_bad_file(self, capsys, tmp_path, doc):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        self.usage_error(capsys, ["metric", "star", "--in", str(path)])
 
     def diagram_file(self, tmp_path, tops):
         path = tmp_path / "diagram.json"

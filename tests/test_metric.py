@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,14 @@ from ramsey_forge.metric import (
     star_transform,
 )
 from ramsey_forge.structures import enumerate_embeddings
+
+from conftest import (
+    fraction_blocks,
+    fraction_check_4values,
+    fraction_classify_triple,
+    fraction_is_compact,
+    fraction_metric_triple,
+)
 
 S = DistanceSet.make([0, 1, 2, 5, 6])
 
@@ -182,6 +191,76 @@ class TestFourValues:
                     for q in s.positive)
 
 
+def _integer_sets():
+    """Every {0} + S with S a nonempty subset of {1..12} of at most 5."""
+    return [(Fraction(0),) + tuple(map(Fraction, combo))
+            for r in range(1, 6) for combo in itertools.combinations(range(1, 13), r)]
+
+
+def _rational_sets():
+    """500 seeded sets of 1-5 positive values p/q, q in 2..60, mostly with
+    a least common denominator above the largest one."""
+    rng = random.Random(6)
+    out = []
+    while len(out) < 500:
+        size = rng.randint(1, 5)
+        values: set[Fraction] = set()
+        while len(values) < size:
+            den = rng.randint(2, 60)
+            values.add(Fraction(rng.randint(1, 4 * den), den))
+        out.append((Fraction(0),) + tuple(sorted(values)))
+    return out
+
+
+class TestIntegerCoreAgainstFractionOracle:
+    """The integer core answers as the Fraction definitions in conftest do,
+    counterexamples included, and hands out Fractions."""
+
+    @pytest.mark.parametrize("corpus", [_integer_sets, _rational_sets],
+                             ids=["integer", "rational"])
+    def test_agrees_with_fraction_oracle(self, corpus):
+        sets = corpus()
+        compact_sets = 0
+        for values in sets:
+            s = DistanceSet(values)
+            jumps, want_blocks = fraction_blocks(values)
+            bp = blocks(s)
+            assert (jump_numbers(s), bp.jumps, bp.blocks) == (jumps, jumps, want_blocks)
+            got = {"is_compact": is_compact(s), "check_4values": check_4values(s)}
+            want = {"is_compact": fraction_is_compact(values),
+                    "check_4values": fraction_check_4values(values)}
+            assert got == want, values
+            returned = [*jump_numbers(s), *bp.jumps, *itertools.chain(*bp.blocks),
+                        *(v for _, ce in got.values() if ce for v in ce)]
+            assert all(type(v) is Fraction for v in returned), values
+            if got["is_compact"][0]:
+                compact_sets += 1
+                for t in itertools.combinations_with_replacement(values[1:], 3):
+                    assert classify_triple(s, *t) == fraction_classify_triple(values, *t)
+                    assert is_metric_triple(*t) == fraction_metric_triple(*t)
+        assert compact_sets >= 300
+
+    def test_scaled_values_stay_private(self):
+        a = DistanceSet.make([0, "1/2", "5/3"])
+        b = DistanceSet((Fraction(0), Fraction(1, 2), Fraction(5, 3)))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == ("DistanceSet(values=(Fraction(0, 1), Fraction(1, 2), "
+                           "Fraction(5, 3)))")
+        assert a != DistanceSet.make([0, "1/2", 2])
+
+    @pytest.mark.parametrize("value", [True, 1.5, "x", "1/0", None],
+                             ids=["bool", "float", "malformed", "zero-den", "none"])
+    def test_inexact_or_malformed_value_rejected(self, value):
+        with pytest.raises(MetricError):
+            DistanceSet.make([0, value])
+        with pytest.raises(MetricError):
+            is_metric_triple(1, 1, value)
+
+    def test_values_must_be_fractions(self):
+        with pytest.raises(MetricError):
+            DistanceSet((0, 1))
+
+
 class TestFinMetricSpace:
     def test_triangle_violation_rejected(self):
         with pytest.raises(MetricError):
@@ -276,6 +355,18 @@ class TestSapAmalgamate:
         with pytest.raises(MetricError):
             sap_amalgamate_metL(m, m, m, (0, 1), (0, 1), l_wrong)
 
+    @pytest.mark.parametrize("f", [(-3, 1), (0, 3), (1, 1), (0, "1")],
+                             ids=["negative", "past-the-end", "not-injective",
+                                  "not-an-int"])
+    def test_bad_map_is_usage_not_integrity_error(self, f):
+        s = [0, 1, 2, 5, 6]
+        m = FinMetricSpace.make(s, [[0, 5], [5, 0]])
+        mp = FinMetricSpace.make(s, [[0, 5, 1], [5, 0, 5], [1, 5, 0]])
+        mpp = FinMetricSpace.make(s, [[0, 5, 6], [5, 0, 2], [6, 2, 0]])
+        with pytest.raises(MetricError) as caught:
+            sap_amalgamate_metL(m, mp, mpp, f, (0, 1), m)
+        assert not isinstance(caught.value, IntegrityError)
+
     def test_non_compact_rejected(self):
         s = DistanceSet.make([0, 1, 2, 3, 7])
         assert not is_compact(s)[0]
@@ -336,6 +427,13 @@ class TestStarTransform:
         star = star_transform(fixture_space())
         lifted = star_embed(tuple(range(4)), star, star)
         assert lifted == tuple(range(6))
+
+    @pytest.mark.parametrize("f", [(0, 1, 2, 4), (0, 1, 2, -1)],
+                             ids=["past-the-end", "negative"])
+    def test_out_of_range_lift_rejected(self, f):
+        star = star_transform(fixture_space())
+        with pytest.raises(MetricError):
+            star_embed(f, star, star)
 
     def test_functorial_on_composable_chain(self):
         s = [0, 1, 2, 5, 6]

@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ramsey_forge import catalog, diagrams
+from ramsey_forge import catalog, diagrams, universes
 from ramsey_forge.structures import first_embedding, restriction
 from ramsey_forge.universes import (
     KINDS,
@@ -19,6 +23,10 @@ from ramsey_forge.universes import (
     rational_chain,
     rational_point,
 )
+
+from conftest import recursive_rational_point
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestRado:
@@ -90,6 +98,24 @@ class TestRationalChain:
         want = [Fraction(1), Fraction(1, 2), Fraction(2), Fraction(1, 3),
                 Fraction(3, 2), Fraction(2, 3), Fraction(3)]
         assert [rational_point(i) for i in range(7)] == want
+
+    def test_first_500_match_recursive_definition(self):
+        want = [recursive_rational_point(i) for i in range(500)]
+        assert universes._rational_points(500) == want
+        assert [rational_point(i) for i in (0, 1, 250, 499)] == [
+            want[0], want[1], want[250], want[499]]
+
+    def test_cold_far_point_in_fresh_process(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", "from ramsey_forge.universes import rational_point;"
+             " print(rational_point(3000))"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        want = [recursive_rational_point(i) for i in range(3001)][-1]
+        assert proc.stdout == f"{want}\n"
 
     def test_orders_are_total_up_to_100(self):
         # construction validates the linear-order tags; sizes confirm totality
