@@ -63,8 +63,9 @@ class DistanceSet:
 
     ``_scaled`` holds the values times ``_lcm``, the least common multiple
     of their denominators.  Both are functions of ``values``: equality
-    compares ``values`` alone, and the hash is taken over the integers
-    because hashing them is much cheaper than hashing the rationals.
+    compares ``values`` alone, and the hash is taken over the integers,
+    since every ``lru_cache`` lookup hashes the set and hashing the
+    rationals costs each one a modular inverse.
     """
 
     values: tuple[Fraction, ...]
@@ -287,7 +288,7 @@ class FinMetricSpace:
     in a declared distance set.
 
     ``_at`` holds the position of each distance in the declared set, which
-    order, equality and block tests use in place of the rationals.
+    the order and block tests use in place of the rationals.
     """
 
     dset: DistanceSet
@@ -337,17 +338,10 @@ class FinMetricSpace:
             tuple(self.d[x][y] for y in pts) for x in pts))
 
 
-def _comparable(m1: FinMetricSpace, m2: FinMetricSpace) -> tuple:
-    """Matrices of the two spaces that compare as their distances do: the
-    positions when both lie over one distance set, else the rationals."""
-    return (m1._at, m2._at) if m1.dset == m2.dset else (m1.d, m2.d)
-
-
 def enumerate_isometric_embeddings(m1: FinMetricSpace, m2: FinMetricSpace
                                    ) -> tuple[tuple[int, ...], ...]:
     """All distance-preserving injections, in lexicographic order."""
     n1, n2 = m1.size, m2.size
-    d1, d2 = _comparable(m1, m2)
     out: list[tuple[int, ...]] = []
     assignment: list[int] = []
 
@@ -358,7 +352,7 @@ def enumerate_isometric_embeddings(m1: FinMetricSpace, m2: FinMetricSpace
         for w in range(n2):
             if w in assignment:
                 continue
-            if all(d1[v][u] == d2[w][assignment[u]] for u in range(v)):
+            if all(m1.d[v][u] == m2.d[w][assignment[u]] for u in range(v)):
                 assignment.append(w)
                 extend(v + 1)
                 assignment.pop()
@@ -554,11 +548,9 @@ def _check_injection(mapping: Sequence[int], domain: int, codomain: int,
 def _check_isometric_map(src: FinMetricSpace, dst: FinMetricSpace,
                          mapping: Sequence[int], label: str) -> None:
     _check_injection(mapping, src.size, dst.size, label)
-    d1, d2 = _comparable(src, dst)
     for x in range(src.size):
-        row = d2[mapping[x]]
         for y in range(src.size):
-            if d1[x][y] != row[mapping[y]]:
+            if src.d[x][y] != dst.d[mapping[x]][mapping[y]]:
                 raise MetricError(f"{label}: not isometric at ({x},{y})")
 
 
@@ -693,8 +685,6 @@ def star_embed(f: Sequence[int], star_src: StarSpace, star_dst: StarSpace
         raise MetricError("star spaces use different spectra")
     n = star_src.base_size
     f = tuple(f)
-    if len(f) != n:
-        raise MetricError("embedding not defined on the whole base")
     _check_injection(f, n, star_dst.base_size, "embedding")
     dst_class_of = _class_of(star_dst.classes)
     lifted = list(f)
