@@ -3,6 +3,12 @@
 A :class:`StructClass` packages a signature, a membership predicate and an
 iso-class generator; the amalgamation-property checkers and universality
 audits quantify over these.
+
+This module also holds the one relation completer, which fills every open
+slot of a partly fixed structure with each of its options in turn.  Class
+members are the completions of the empty structure on n points, one per
+isomorphism class, and :mod:`diagrams` completes amalgams and cocone tips
+with it.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .structures import (
     TAG_LINEAR,
@@ -28,6 +34,7 @@ GRAPH_SIG = Signature.make(("E", 2, TAG_SYMMETRIC))
 ORIENTED_SIG = Signature.make(("arc", 2, TAG_ORIENTED))
 PERM_SIG = Signature.make(("lt", 2, TAG_LINEAR), ("omega", 2, TAG_LINEAR))
 LOPOSET_SIG = Signature.make(("po", 2, TAG_NONE), ("omega", 2, TAG_LINEAR))
+POSET_SIG = Signature.make(("po", 2, TAG_NONE))
 
 
 def chain(n: int) -> FinStructure:
@@ -82,14 +89,13 @@ def permutation_structure(second: Sequence[int]) -> FinStructure:
     })
 
 
-def linearly_ordered_poset(n: int, strict: Iterable[tuple[int, int]],
-                           order: Sequence[int] | None = None) -> FinStructure:
-    """A strict partial order ``po`` together with a linear order ``omega``
-    extending it."""
-    order = tuple(order if order is not None else range(n))
+def linearly_ordered_poset(n: int, strict: Iterable[tuple[int, int]]
+                           ) -> FinStructure:
+    """A strict partial order ``po`` on ``{0..n-1}`` together with the
+    natural order ``omega``, which must extend it."""
     s = FinStructure.build(LOPOSET_SIG, n, {
         "po": list(strict),
-        "omega": linear_order_pairs(order),
+        "omega": linear_order_pairs(range(n)),
     })
     if not is_linearly_ordered_poset(s):
         raise StructureError("not a linearly ordered poset")
@@ -166,61 +172,75 @@ def is_linearly_ordered_poset(s: FinStructure) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# iso-class enumeration
+# relation completion: class members, amalgams and cocone tips
 
 
-def _dedupe(structs: Iterable[FinStructure]) -> tuple[FinStructure, ...]:
+def _slot_options(tag: str, x: int, y: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Candidate tuple sets for one open binary slot, sparsest first."""
+    if tag == TAG_SYMMETRIC:
+        return [(), ((x, y), (y, x))]
+    if tag == TAG_LINEAR:
+        return [((x, y),), ((y, x),)]
+    if tag == TAG_ORIENTED:
+        return [(), ((x, y),), ((y, x),)]
+    return [(), ((x, y),), ((y, x),), ((x, y), (y, x))]
+
+
+def _complete_structures(signature: Signature, size: int,
+                         base: list[set[tuple[int, ...]]], covers: list[int],
+                         predicate: Callable[[FinStructure], bool] | None,
+                         options: Callable[[str, int, int], list] = _slot_options
+                         ) -> Iterator[FinStructure]:
+    """All valid structures extending the fixed tuples ``base``.
+
+    ``covers`` holds, per point, a bitmask of the parts (the tops of a
+    pushout) whose image contains it; a tuple is open when no part covers
+    all of its points (the AND of their masks is 0).  Each open binary
+    slot ``x < y`` takes one of ``options(tag, x, y)``, and the slots are
+    enumerated as one product, relation by relation and pair by pair, with
+    each slot's first option first.
+    """
+    slot_axes: list[tuple[int, list[tuple[tuple[int, ...], ...]]]] = []
+    for ri, spec in enumerate(signature.relations):
+        if spec.arity == 2:
+            for x in range(size):
+                for y in range(x + 1, size):
+                    if not covers[x] & covers[y]:
+                        slot_axes.append((ri, options(spec.tag, x, y)))
+        else:
+            for t in itertools.product(range(size), repeat=spec.arity):
+                mask = -1
+                for p in t:
+                    mask &= covers[p]
+                if not mask:
+                    slot_axes.append((ri, [(), (t,)]))
+
+    for choice in itertools.product(*(opts for _, opts in slot_axes)):
+        rels = [set(b) for b in base]
+        for (ri, _), picked in zip(slot_axes, choice):
+            rels[ri].update(picked)
+        try:
+            candidate = FinStructure(signature, size,
+                                     tuple(frozenset(r) for r in rels))
+        except StructureError:
+            continue
+        if predicate is not None and not predicate(candidate):
+            continue
+        yield candidate
+
+
+def _completions(signature: Signature, n: int,
+                 predicate: Callable[[FinStructure], bool] | None = None,
+                 options: Callable[[str, int, int], list] = _slot_options
+                 ) -> tuple[FinStructure, ...]:
+    """Iso-class representatives among the completions of the empty
+    structure on ``n`` points: the first completion of each class."""
     out: dict = {}
-    for s in structs:
-        key = canonical_key(s)
-        if key not in out:
-            out[key] = s
+    for s in _complete_structures(signature, n,
+                                  [set() for _ in signature.relations],
+                                  [0] * n, predicate, options):
+        out.setdefault(canonical_key(s), s)
     return tuple(out.values())
-
-
-def _all_graphs(n: int) -> Iterable[FinStructure]:
-    pairs = list(itertools.combinations(range(n), 2))
-    for bits in itertools.product((0, 1), repeat=len(pairs)):
-        yield graph(n, [p for p, b in zip(pairs, bits) if b])
-
-
-def _all_oriented(n: int, choices: Sequence[int] = (0, 1, 2)
-                  ) -> Iterable[FinStructure]:
-    """Oriented graphs whose pair ``x < y`` takes one of ``choices``: 0 for
-    no arc, 1 for the arc ``(x, y)``, 2 for the arc ``(y, x)``."""
-    pairs = list(itertools.combinations(range(n), 2))
-    for choice in itertools.product(choices, repeat=len(pairs)):
-        arcs = []
-        for (x, y), c in zip(pairs, choice):
-            if c == 1:
-                arcs.append((x, y))
-            elif c == 2:
-                arcs.append((y, x))
-        yield oriented_graph(n, arcs)
-
-
-def _all_posets(n: int) -> Iterable[FinStructure]:
-    pairs = list(itertools.combinations(range(n), 2))
-    for choice in itertools.product((0, 1, 2), repeat=len(pairs)):
-        rel = set()
-        for (x, y), c in zip(pairs, choice):
-            if c == 1:
-                rel.add((x, y))
-            elif c == 2:
-                rel.add((y, x))
-        if is_strict_partial_order(frozenset(rel), n):
-            yield FinStructure.build(Signature.make(("po", 2, TAG_NONE)), n, {"po": rel})
-
-
-def _all_lo_posets(n: int) -> Iterable[FinStructure]:
-    # With a linear order in the signature every structure is rigid, so the
-    # naturally-labeled representatives (omega = natural order) are exactly
-    # the iso classes.
-    pairs = list(itertools.combinations(range(n), 2))
-    for bits in itertools.product((0, 1), repeat=len(pairs)):
-        rel = frozenset(p for p, b in zip(pairs, bits) if b)
-        if is_strict_partial_order(rel, n):
-            yield linearly_ordered_poset(n, rel)
 
 
 @dataclass(frozen=True)
@@ -251,25 +271,32 @@ def _gen(name: str, n: int) -> tuple[FinStructure, ...]:
     if name == "chains":
         return (chain(n),)
     if name == "graphs":
-        return _dedupe(_all_graphs(n))
+        return _completions(GRAPH_SIG, n)
     if name == "triangle-free":
         return tuple(s for s in _gen("graphs", n) if is_triangle_free(s))
     if name == "oriented-graphs":
-        return _dedupe(_all_oriented(n))
+        return _completions(ORIENTED_SIG, n)
     if name == "tournaments":
         # the orientations with no empty pair come in the order they hold
         # among all oriented graphs, so members and their order are those
         # of the oriented members that are tournaments
-        return _dedupe(_all_oriented(n, choices=(1, 2)))
+        return _completions(ORIENTED_SIG, n, options=lambda tag, x, y:
+                            _slot_options(tag, x, y)[1:])
     if name == "dags":
         return tuple(s for s in _gen("oriented-graphs", n) if is_acyclic(s))
     if name == "posets":
-        return _dedupe(_all_posets(n))
+        return _completions(POSET_SIG, n, is_poset, lambda _, x, y:
+                            _slot_options(TAG_ORIENTED, x, y))
     if name == "permutations":
         return tuple(permutation_structure(p)
                      for p in itertools.permutations(range(n)))
     if name == "linearly-ordered-posets":
-        return tuple(_all_lo_posets(n))
+        # omega is the natural order and po may only agree with it; a
+        # linear order makes every structure rigid, so these naturally
+        # labelled completions are already one per iso class
+        return _completions(LOPOSET_SIG, n, is_linearly_ordered_poset,
+                            lambda tag, x, y: [((x, y),)] if tag == TAG_LINEAR
+                            else [(), ((x, y),)])
     raise KeyError(name)
 
 
@@ -287,8 +314,7 @@ CLASSES: dict[str, StructClass] = {
     "tournaments": StructClass("tournaments", ORIENTED_SIG, is_tournament,
                                _maker("tournaments")),
     "dags": StructClass("dags", ORIENTED_SIG, is_acyclic, _maker("dags")),
-    "posets": StructClass("posets", Signature.make(("po", 2, TAG_NONE)), is_poset,
-                          _maker("posets")),
+    "posets": StructClass("posets", POSET_SIG, is_poset, _maker("posets")),
     "permutations": StructClass("permutations", PERM_SIG, always,
                                 _maker("permutations")),
     "linearly-ordered-posets": StructClass(

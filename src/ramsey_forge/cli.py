@@ -177,11 +177,19 @@ def _cmd_arrow(args: argparse.Namespace, config: RunConfig) -> int:
     return EXIT_OK if verdict.holds else EXIT_FAIL
 
 
+def _check_max_size(args: argparse.Namespace) -> None:
+    if args.max_size < 0:
+        raise UsageError("--max-size must be >= 0")
+
+
 def _cmd_fraisse(args: argparse.Namespace, config: RunConfig) -> int:
     klass = catalog.CLASSES.get(args.klass)
     if klass is None:
         raise UsageError(f"unknown class {args.klass!r}; "
                          f"known: {', '.join(sorted(catalog.CLASSES))}")
+    _check_max_size(args)
+    if args.amalgam_bound is not None and args.amalgam_bound < 1:
+        raise UsageError("--amalgam-bound must be >= 1")
     report = diagrams.check_class_property(args.property, klass, args.max_size,
                                            amalgam_bound=args.amalgam_bound)
     doc = {
@@ -269,6 +277,7 @@ def _cmd_universe_audit(args: argparse.Namespace, config: RunConfig) -> int:
     klass = catalog.CLASSES.get(args.klass)
     if klass is None:
         raise UsageError(f"unknown class {args.klass!r}")
+    _check_max_size(args)
     try:
         report = universes.check_universal(kind, klass, args.max_size, args.N)
     except ValueError as exc:

@@ -7,13 +7,13 @@ leg per top vertex making every bottom span agree.
 
 Cocone tips are generated as the quotient of the disjoint union of the top
 objects by the identifications the bottom spans force, then completed by
-enumerating relation choices on undetermined tuples.  An amalgam of
-``B <-f- A -g-> C`` is the same construction over a one-span diagram, and
-joint embedding is amalgamation over the empty structure, so one pushout
-routine serves :func:`find_cocone` and :func:`amalgamate`.  Only forced
-quotients are tried: merging points beyond what the spans force is never
-attempted, so a search that finds nothing does not prove that no cocone
-or amalgam exists.
+the relation completer of :mod:`catalog`, which enumerates relation choices
+on undetermined tuples.  An amalgam of ``B <-f- A -g-> C`` is the same
+construction over a one-span diagram, and joint embedding is amalgamation
+over the empty structure, so one pushout routine serves :func:`find_cocone`
+and :func:`amalgamate`.  Only forced quotients are tried: merging points
+beyond what the spans force is never attempted, so a search that finds
+nothing does not prove that no cocone or amalgam exists.
 """
 
 from __future__ import annotations
@@ -22,11 +22,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .catalog import I_STAR, StructClass, is_linearly_ordered_poset
+from .catalog import (
+    I_STAR,
+    StructClass,
+    _complete_structures,
+    is_linearly_ordered_poset,
+)
 from .structures import (
-    TAG_LINEAR,
-    TAG_ORIENTED,
-    TAG_SYMMETRIC,
     Embedding,
     FinStructure,
     Signature,
@@ -225,53 +227,6 @@ def _forced_relations(tops: Sequence[FinStructure],
                         return None
         base.append(forced)
     return base, covers
-
-
-def _slot_options(tag: str, x: int, y: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Candidate tuple sets for one undetermined binary slot, sparsest first."""
-    if tag == TAG_SYMMETRIC:
-        return [(), ((x, y), (y, x))]
-    if tag == TAG_LINEAR:
-        return [((x, y),), ((y, x),)]
-    if tag == TAG_ORIENTED:
-        return [(), ((x, y),), ((y, x),)]
-    return [(), ((x, y),), ((y, x),), ((x, y), (y, x))]
-
-
-def _complete_structures(signature: Signature, size: int,
-                         base: list[set[tuple[int, ...]]], covers: list[int],
-                         predicate: Callable[[FinStructure], bool] | None
-                         ) -> Iterator[FinStructure]:
-    """All valid structures extending the forced tuples ``base``, enumerated
-    with sparser relation choices first.  A tuple is open when no single top
-    covers all of its points (the AND of their ``covers`` masks is 0)."""
-    slot_axes: list[tuple[int, list[tuple[tuple[int, ...], ...]]]] = []
-    for ri, spec in enumerate(signature.relations):
-        if spec.arity == 2:
-            for x in range(size):
-                for y in range(x + 1, size):
-                    if not covers[x] & covers[y]:
-                        slot_axes.append((ri, _slot_options(spec.tag, x, y)))
-        else:
-            for t in itertools.product(range(size), repeat=spec.arity):
-                mask = -1
-                for p in t:
-                    mask &= covers[p]
-                if not mask:
-                    slot_axes.append((ri, [(), (t,)]))
-
-    for choice in itertools.product(*(options for _, options in slot_axes)):
-        rels = [set(b) for b in base]
-        for (ri, _), picked in zip(slot_axes, choice):
-            rels[ri].update(picked)
-        try:
-            candidate = FinStructure(signature, size,
-                                     tuple(frozenset(r) for r in rels))
-        except StructureError:
-            continue
-        if predicate is not None and not predicate(candidate):
-            continue
-        yield candidate
 
 
 def find_cocone(diagram: StructDiagram, max_tip_size: int,
@@ -524,27 +479,19 @@ def is_permutational(p: FinStructure) -> tuple[int, ...] | None:
     """A second linear order whose meet with omega is the partial order.
 
     Returns the witness as a listing of the domain (least first), or None.
-    A witness exists exactly when the three-point obstruction does not
-    embed; the checkers are kept independent so that equivalence is
-    testable.
+    The second order is forced: for x <_omega y it must hold (x, y) when
+    x <_po y and (y, x) otherwise.  That tournament is built in O(n^2) and
+    is a linear order exactly when it is transitive, that is, when the
+    numbers of points it puts below each point are 0, 1, ..., n-1.  A
+    witness exists exactly when the three-point obstruction does not embed;
+    the checkers are kept independent so that equivalence is testable.
     """
     _validate_lo_poset(p)
     po = p.rel("po")
-    omega = p.rel("omega")
-    n = p.size
-    for listing in itertools.permutations(range(n)):
-        position = {v: i for i, v in enumerate(listing)}
-        ok = True
-        for x in range(n):
-            for y in range(n):
-                if x == y:
-                    continue
-                meet = (x, y) in omega and position[x] < position[y]
-                if meet != ((x, y) in po):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return listing
-    return None
+    below = [0] * p.size
+    for x, y in p.rel("omega"):
+        below[y if (x, y) in po else x] += 1
+    listing = tuple(sorted(p.domain, key=below.__getitem__))
+    if [below[v] for v in listing] != list(p.domain):
+        return None
+    return listing

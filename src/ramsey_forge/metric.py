@@ -785,17 +785,17 @@ def is_ultrametric(m: FinMetricSpace) -> bool:
                for x in range(n) for y in range(n) for z in range(n))
 
 
-def rescale(m: FinMetricSpace, phi: Sequence[tuple] | dict,
+def rescale(m: FinMetricSpace, phi: Sequence[tuple],
             target: DistanceSet) -> FinMetricSpace:
-    """Push an ultrametric space through an order bijection of value sets.
+    """Push an ultrametric space through an order bijection of value sets,
+    given as ``(source value, target value)`` pairs.
 
     General metric spaces are rejected: monotone relabeling preserves the
     ultrametric inequality but not triangle inequalities.
     """
     if not is_ultrametric(m):
         raise MetricError("rescaling is only valid for ultrametric spaces")
-    pairs = sorted(phi.items()) if isinstance(phi, dict) else sorted(
-        (_frac(a), _frac(b)) for a, b in phi)
+    pairs = sorted((_frac(a), _frac(b)) for a, b in phi)
     src = [a for a, _ in pairs]
     dst = [b for _, b in pairs]
     if tuple(src) != m.dset.values or tuple(dst) != target.values:

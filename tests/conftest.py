@@ -58,6 +58,19 @@ def brute_force_canonical_key(a: FinStructure):
     return (a.signature, a.size, best)
 
 
+def brute_force_permutational(p: FinStructure):
+    """The first listing of the domain, over all n!, whose order meets
+    omega in exactly the partial order; None when no listing does."""
+    po, omega = p.rel("po"), p.rel("omega")
+    for listing in itertools.permutations(range(p.size)):
+        position = {v: i for i, v in enumerate(listing)}
+        if all(((x, y) in omega and position[x] < position[y])
+               == ((x, y) in po)
+               for x in range(p.size) for y in range(p.size) if x != y):
+            return listing
+    return None
+
+
 def every_instance_class_property(property_name, klass, max_size,
                                   amalgam_bound=None):
     """AP, SAP or JEP with every instance searched, mirrors included.

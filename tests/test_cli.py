@@ -293,6 +293,20 @@ class TestBadInputIsUsageError:
                                   "--class", "graphs", "--max-size", "3",
                                   "-N", "2"])
 
+    @pytest.mark.parametrize("argv", [
+        ["fraisse", "check", "--class", "graphs", "--property", "AP",
+         "--max-size", "-1"],
+        ["fraisse", "check", "--class", "graphs", "--property", "AP",
+         "--max-size", "2", "--amalgam-bound", "-1"],
+        ["fraisse", "check", "--class", "graphs", "--property", "AP",
+         "--max-size", "2", "--amalgam-bound", "0"],
+        ["universe", "audit", "--kind", "rado", "--class", "graphs",
+         "--max-size", "-2", "-N", "4"],
+    ], ids=["fraisse-negative-max-size", "negative-amalgam-bound",
+            "zero-amalgam-bound", "audit-negative-max-size"])
+    def test_out_of_range_size(self, capsys, argv):
+        self.usage_error(capsys, argv)
+
     def test_missing_config_file(self, chain_files, capsys, tmp_path):
         self.usage_error(capsys, ["--config", str(tmp_path / "missing.cfg"),
                                   "arrow", "check", "--C", chain_files[6],

@@ -36,7 +36,7 @@ from ramsey_forge.structures import (
     is_embedding,
 )
 
-from conftest import every_instance_class_property
+from conftest import brute_force_permutational, every_instance_class_property
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -479,6 +479,12 @@ class TestIsPermutational:
                             continue
                         meet = (x, y) in omega and position[x] < position[y]
                         assert meet == ((x, y) in po)
+
+    def test_witness_matches_the_listing_oracle_up_to_five_points(self):
+        members = catalog.CLASSES["linearly-ordered-posets"].members_up_to(5)
+        assert len(members) == 1 + 2 + 7 + 40 + 357
+        for p in members:
+            assert is_permutational(p) == brute_force_permutational(p)
 
     def test_characterization_up_to_four_points(self):
         for n in range(1, 5):
