@@ -210,9 +210,23 @@ def _cmd_fraisse(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _diagram_from_doc(doc: dict) -> diagrams.StructDiagram:
-    shape = diagrams.BinaryDigraph(
-        doc["shape"]["top"], doc["shape"]["bottom"],
-        tuple((s, t) for s, t in doc["shape"]["arrows"]))
+    """The diagram a JSON document describes, its shape checked before use."""
+    raw = doc.get("shape") if isinstance(doc, dict) else None
+    if not (isinstance(raw, dict) and type(raw.get("top")) is int
+            and type(raw.get("bottom")) is int
+            and structures._int_rows(raw.get("arrows"))
+            and all(len(arrow) == 2 for arrow in raw["arrows"])
+            and isinstance(doc.get("top_objects"), list)
+            and isinstance(doc.get("bottom_objects"), list)
+            and len(doc["top_objects"]) == raw["top"]
+            and len(doc["bottom_objects"]) == raw["bottom"]
+            and structures._int_rows(doc.get("arrow_maps"))):
+        raise structures.StructureError(
+            'a diagram is an object with a "shape" (integers "top" and "bottom", '
+            '"arrows" as pairs of integers), that many "top_objects" and '
+            '"bottom_objects", and "arrow_maps" as lists of integers')
+    shape = diagrams.BinaryDigraph(raw["top"], raw["bottom"],
+                                   tuple(map(tuple, raw["arrows"])))
     tops = tuple(structures.structure_from_dict(d) for d in doc["top_objects"])
     bottoms = tuple(structures.structure_from_dict(d) for d in doc["bottom_objects"])
     maps = []
@@ -222,11 +236,12 @@ def _diagram_from_doc(doc: dict) -> diagrams.StructDiagram:
 
 
 def _cmd_diagram(args: argparse.Namespace, config: RunConfig) -> int:
+    if args.max_tip < 0:
+        raise UsageError("--max-tip must be >= 0")
     try:
         doc = json.loads(Path(args.infile).read_text())
         diagram = _diagram_from_doc(doc)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError,
-            structures.StructureError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError) as exc:
         raise UsageError(f"cannot read diagram {args.infile}: {exc}") from exc
     if not diagram.top_objects:
         raise UsageError(f"diagram {args.infile} has no top objects")

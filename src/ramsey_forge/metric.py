@@ -14,10 +14,11 @@ values once, on construction, by the least common multiple of their
 denominators, which makes every value an integer.  Each test made here is
 homogeneous and linear in the values (the order, the triangle inequality,
 ``2v < next`` for jumps, ``|x-y| <= s1`` for compactness), so a positive
-common factor changes no answer, and the inner loops run on those integers
-and on value-to-position lookups.  ``fractions.Fraction`` appears only at
-the boundary: input parsing (:func:`_frac`), JSON I/O and the public fields
-and return values, which are the original rationals.
+common factor changes no answer, and the inner loops run on those integers,
+on value-to-position lookups and on the block number of each position.
+``fractions.Fraction`` appears only at the boundary: input parsing
+(:func:`_frac`), JSON I/O and the public fields and return values, which are
+the original rationals.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .structures import TAG_SYMMETRIC, FinStructure, Signature
@@ -62,15 +63,18 @@ class DistanceSet:
     """A strictly increasing tuple of nonnegative rationals starting at 0.
 
     ``_scaled`` holds the values times ``_lcm``, the least common multiple
-    of their denominators.  Both are functions of ``values``: equality
-    compares ``values`` alone, and the hash is taken over the integers,
-    since every ``lru_cache`` lookup hashes the set and hashing the
-    rationals costs each one a modular inverse.
+    of their denominators, and ``_of`` the block number of each position: a
+    block ends at each value that is less than half its successor, and the
+    trivial block ``(0,)`` is block 0.  All three are functions of
+    ``values``: equality compares ``values`` alone, and the hash is taken
+    over the integers, since hashing the rationals costs each one a modular
+    inverse.
     """
 
     values: tuple[Fraction, ...]
     _lcm: int = field(init=False, repr=False, compare=False)
     _scaled: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _of: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         vals = self.values
@@ -83,8 +87,12 @@ class DistanceSet:
             raise MetricError("distance set must start at 0")
         if any(b <= a for a, b in zip(scaled, scaled[1:])):
             raise MetricError("distance set must be strictly increasing")
+        of = [0]
+        for a, b in zip(scaled, scaled[1:]):
+            of.append(of[-1] + (2 * a < b))
         object.__setattr__(self, "_lcm", lcm)
         object.__setattr__(self, "_scaled", scaled)
+        object.__setattr__(self, "_of", tuple(of))
 
     def __hash__(self) -> int:
         return hash((self._lcm, self._scaled))
@@ -118,23 +126,27 @@ class DistanceSet:
             raise MetricError("no positive values in distance set")
         return self.values[1]
 
+    @cached_property
+    def _compactness(self) -> tuple[bool, tuple[Fraction, Fraction] | None]:
+        """:func:`is_compact`'s verdict: the first failing pair in
+        ``combinations_with_replacement`` order, if any."""
+        ints, of = self._scaled, self._of
+        for i, j in itertools.combinations_with_replacement(range(1, len(ints)), 2):
+            if (ints[j] - ints[i] <= ints[1]) != (of[i] == of[j]):
+                return False, (self.values[i], self.values[j])
+        return True, None
+
 
 @dataclass(frozen=True)
 class BlockPartition:
     """Jump numbers and the block intervals they delimit.
 
     The first block is always the trivial ``(0,)``; every other block is a
-    maximal run of values ending at a jump.  ``_of`` gives the block number
-    of each value by its position in the distance set.
+    maximal run of values ending at a jump.
     """
 
     jumps: tuple[Fraction, ...]
     blocks: tuple[tuple[Fraction, ...], ...]
-    _of: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_of", tuple(
-            [i for i, blk in enumerate(self.blocks) for _ in blk]))
 
     @property
     def nontrivial(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -148,28 +160,20 @@ class BlockPartition:
             raise MetricError(f"{x} is not a member of the distance set")
         return i
 
-    def block_min(self, x: Fraction) -> Fraction:
-        """Least value of the block that ``x`` lies in."""
-        return self.blocks[self.block_index(x)][0]
-
-
-def _jump_positions(s: DistanceSet) -> list[int]:
-    ints = s._scaled
-    last = len(ints) - 1
-    return [i for i in range(last + 1) if i == last or 2 * ints[i] < ints[i + 1]]
-
 
 def jump_numbers(s: DistanceSet) -> tuple[Fraction, ...]:
     """Values that are last, or less than half their successor."""
-    return tuple(s.values[i] for i in _jump_positions(s))
+    of = s._of
+    return tuple(v for i, v in enumerate(s.values)
+                 if i + 1 == len(of) or of[i] != of[i + 1])
 
 
 @lru_cache(maxsize=None)
 def blocks(s: DistanceSet) -> BlockPartition:
-    ends = _jump_positions(s)
-    vals = s.values
-    out = [vals[:1]] + [vals[a + 1:b + 1] for a, b in zip(ends, ends[1:])]
-    return BlockPartition(tuple(vals[i] for i in ends), tuple(out))
+    out: list[list[Fraction]] = [[] for _ in range(s._of[-1] + 1)]
+    for v, b in zip(s.values, s._of):
+        out[b].append(v)
+    return BlockPartition(tuple(blk[-1] for blk in out), tuple(map(tuple, out)))
 
 
 def approx(s: DistanceSet, x, y) -> bool:
@@ -200,22 +204,16 @@ def is_metric_triple(a, b, c) -> bool:
     return a + b >= c and b + c >= a and c + a >= b
 
 
-@lru_cache(maxsize=None)
 def is_compact(s: DistanceSet) -> tuple[bool, tuple[Fraction, Fraction] | None]:
     """Check ``|x-y| <= s1  iff  same block`` over all positive pairs.
 
     The forward direction holds for every distance set; a counterexample
-    pair, when one exists, witnesses the reverse failing.
+    pair, when one exists, witnesses the reverse failing.  The verdict is
+    computed once per set and kept on it.
     """
     if len(s) < 2:
         raise MetricError("compactness needs at least one positive value")
-    of = blocks(s)._of
-    ints = s._scaled
-    s1 = ints[1]
-    for i, j in itertools.combinations_with_replacement(range(1, len(ints)), 2):
-        if (ints[j] - ints[i] <= s1) != (of[i] == of[j]):
-            return False, (s.values[i], s.values[j])
-    return True, None
+    return s._compactness
 
 
 EQUILATERAL = "equilateral-block"
@@ -239,7 +237,7 @@ def classify_triple(s: DistanceSet, a, b, c) -> str:
         missing = min(v for v, i in zip(triple, at) if i is None)
         raise MetricError(f"{missing} is not a member of the distance set")
     # block numbers grow with the values, so sorting them sorts the triple
-    of = blocks(s)._of
+    of = s._of
     ia, ib, ic = sorted(of[i] for i in at)
     if ia == ib == ic:
         return EQUILATERAL
@@ -378,11 +376,10 @@ def sim_partition(m: FinMetricSpace) -> tuple[tuple[int, ...], ...]:
     valid inputs; it is verified rather than assumed, and a violation is
     reported as data corruption.
     """
-    # the trivial and first blocks are the least positions of the set
-    near = sum(len(blk) for blk in blocks(m.dset).blocks[:2]) - 1
+    of = m.dset._of
 
     def sim(x: int, y: int) -> bool:
-        return m._at[x][y] <= near
+        return of[m._at[x][y]] <= 1
 
     classes: list[list[int]] = []
     for x in range(m.size):
@@ -414,11 +411,10 @@ def spans(l: FinMetricSpace, m: FinMetricSpace) -> tuple[int, ...] | None:
     ``l`` must live over the declared set with the first nontrivial block
     removed.  Returns one point per class (in class order) or None.
     """
-    bp = blocks(m.dset)
-    if len(bp.nontrivial) < 1:
+    s = m.dset
+    if s._of[-1] < 1:
         raise MetricError("span requires at least one nontrivial block")
-    first = set(bp.blocks[1])
-    if any(v in first for v in l.spectre()):
+    if any(p is not None and s._of[p] == 1 for p in map(s._position, l.spectre())):
         raise MetricError("spanning space uses distances from the first block")
     classes = sim_partition(m)
     if len(classes) != l.size:
@@ -438,7 +434,7 @@ def _require_compact_two_blocks(s: DistanceSet, what: str) -> None:
     compact, _ = is_compact(s)
     if not compact:
         raise MetricError(f"{what} requires a compact distance set")
-    if len(blocks(s).nontrivial) < 2:
+    if s._of[-1] < 2:
         raise MetricError(f"{what} requires at least two nontrivial blocks")
 
 
@@ -487,20 +483,15 @@ def sap_amalgamate_metL(m: FinMetricSpace, mp: FinMetricSpace,
 
     # amalgam points: all of mp, then mpp's points outside g(m)
     g_image = {g[a]: a for a in range(m.size)}
-    pp_fresh = [x for x in range(mpp.size) if x not in g_image]
     into_p = tuple(range(mp.size))
-    into_pp_map = {}
-    for x in range(mpp.size):
-        if x in g_image:
-            into_pp_map[x] = f[g_image[x]]
-        else:
-            into_pp_map[x] = mp.size + pp_fresh.index(x)
-    into_pp = tuple(into_pp_map[x] for x in range(mpp.size))
-    size = mp.size + len(pp_fresh)
+    fresh = itertools.count(mp.size)
+    into_pp = tuple(f[g_image[x]] if x in g_image else next(fresh)
+                    for x in range(mpp.size))
+    size = mp.size + mpp.size - m.size
 
     s1 = s.s1
     tdist = [[Fraction(0)] * size for _ in range(size)]
-    label_to_pp = {lab: x for x, lab in into_pp_map.items()}
+    label_to_pp = {lab: x for x, lab in enumerate(into_pp)}
 
     def base_dist(x: int, y: int) -> Fraction:
         if x < mp.size and y < mp.size:
@@ -510,9 +501,9 @@ def sap_amalgamate_metL(m: FinMetricSpace, mp: FinMetricSpace,
             return mpp.d[px][py]
         # one point is new on the first side, the other new on the second
         if x < mp.size:
-            ci, cj = class_of_p[x], class_of_pp[pp_fresh[y - mp.size]]
+            ci, cj = class_of_p[x], class_of_pp[py]
         else:
-            ci, cj = class_of_pp[pp_fresh[x - mp.size]], class_of_p[y]
+            ci, cj = class_of_pp[px], class_of_p[y]
         if ci != cj:
             return m.d[transversal[ci]][transversal[cj]]
         return s1
@@ -561,7 +552,8 @@ def _check_isometric_map(src: FinMetricSpace, dst: FinMetricSpace,
 @dataclass(frozen=True)
 class SigmaChoice:
     """A one-block target spectrum for a base distance set, with the order
-    bijection onto its lower part and the two extra levels."""
+    bijection onto its lower part and the two extra levels: position i of
+    ``base`` maps to position i of ``sigma``, and ``eps`` and ``zeta`` follow."""
 
     base: DistanceSet
     sigma: DistanceSet
@@ -570,20 +562,16 @@ class SigmaChoice:
     zeta: Fraction
 
     def forward(self, v: Fraction) -> Fraction:
-        for a, b in self.xi:
-            if a == v:
-                return b
-        raise MetricError(f"{v} outside the base distance set")
+        i = self.base._position(v)
+        if i is None:
+            raise MetricError(f"{v} outside the base distance set")
+        return self.sigma.values[i]
 
     def backward(self, v: Fraction) -> Fraction:
-        for a, b in self.xi:
-            if b == v:
-                return a
-        raise MetricError(f"{v} outside the image of the order bijection")
-
-    @property
-    def spectral(self) -> set[Fraction]:
-        return {b for _, b in self.xi}
+        i = self.sigma._position(v)
+        if i is None or i >= len(self.base):
+            raise MetricError(f"{v} outside the image of the order bijection")
+        return self.base.values[i]
 
 
 def choose_sigma(s: DistanceSet) -> SigmaChoice:
@@ -599,8 +587,7 @@ def choose_sigma(s: DistanceSet) -> SigmaChoice:
     eps = 1 + Fraction(n + 1, den)
     zeta = 1 + Fraction(n + 2, den)
     sigma = DistanceSet(tuple(sigma_vals + [eps, zeta]))
-    bp = blocks(sigma)
-    assert len(bp.nontrivial) == 1, "target spectrum must be one-block"
+    assert sigma._of[-1] == 1, "target spectrum must be one-block"
     compact, _ = is_compact(sigma)
     assert compact
     xi = tuple(zip(s.values, sigma_vals))
@@ -642,12 +629,12 @@ def star_transform(m: FinMetricSpace, choice: SigmaChoice | None = None
     elif choice.base != s:
         raise MetricError("sigma choice built for a different distance set")
     classes = sim_partition(m)
-    bp = blocks(s)
+    of = s._of
     at = m._at
 
     # the class-to-class distance must not depend on representatives
     for c1, c2 in itertools.combinations(classes, 2):
-        if len({bp._of[at[x][y]] for x in c1 for y in c2}) != 1:
+        if len({of[at[x][y]] for x in c1 for y in c2}) != 1:
             raise IntegrityError("class distance not well defined; "
                                  "set is not compact or space is corrupt")
 
@@ -655,18 +642,20 @@ def star_transform(m: FinMetricSpace, choice: SigmaChoice | None = None
     k = len(classes)
     class_of = _class_of(classes)
     size = n + k
+    # the order bijection keeps positions: base position p maps to sigma's
+    sv = choice.sigma.values
     dd = [[Fraction(0)] * size for _ in range(size)]
     for x in range(n):
         for y in range(x + 1, n):
-            dd[x][y] = dd[y][x] = choice.forward(m.d[x][y])
+            dd[x][y] = dd[y][x] = sv[at[x][y]]
     for x in range(n):
         for ci in range(k):
             v = choice.eps if class_of[x] == ci else choice.zeta
             dd[x][n + ci] = dd[n + ci][x] = v
     for ci in range(k):
         for cj in range(ci + 1, k):
-            rep_i, rep_j = classes[ci][0], classes[cj][0]
-            v = choice.forward(bp.blocks[bp._of[at[rep_i][rep_j]]][0])
+            # the first position of a block holds its least value
+            v = sv[of.index(of[at[classes[ci][0]][classes[cj][0]]])]
             dd[n + ci][n + cj] = dd[n + cj][n + ci] = v
 
     space = FinMetricSpace(choice.sigma, tuple(tuple(row) for row in dd))
@@ -715,41 +704,45 @@ def recover_quotient_space(w: FinMetricSpace, w0: Sequence[int],
     cross-class distance agrees with the pulled-back distance of the two
     class points.  (The class points record block minima, so a literal
     span check against their restriction would reject legitimate inputs
-    whose cross distances are not minimal in their blocks.)
+    whose cross distances are not minimal in their blocks.)  Distances are
+    compared by their positions in ``choice.sigma``.
     """
     w0 = tuple(w0)
-    if len(set(w0)) != len(w0) or any(not 0 <= x < w.size for x in w0):
+    w0_set = set(w0)
+    if len(w0_set) != len(w0) or any(not 0 <= x < w.size for x in w0):
         raise MetricError("designated class points must be distinct and in range")
-    rest = tuple(x for x in range(w.size) if x not in set(w0))
-    eps = choice.eps
+    rest = tuple(x for x in range(w.size) if x not in w0_set)
+    base = choice.base
+    lower = len(base)  # sigma's spectral positions lie below; eps sits here
+    # w may be declared over a wider set: None marks a value outside sigma
+    in_sigma = [choice.sigma._position(v) for v in w.dset.values]
+    at = [[in_sigma[p] for p in row] for row in w._at]
     owner: dict[int, int] = {}
     for x in rest:
-        links = [i for i, u in enumerate(w0) if w.d[x][u] == eps]
+        links = [i for i, u in enumerate(w0) if at[x][u] == lower]
         if len(links) != 1:
             raise IntegrityError(
                 f"point {x} has {len(links)} class links; expected exactly 1")
         owner[x] = links[0]
 
-    spectral = choice.spectral
-    s1 = choice.base.s1
+    def cross(x: int, y: int) -> int:
+        p = at[w0[owner[x]]][w0[owner[y]]]
+        if p is None or p >= lower:
+            raise IntegrityError("class points at a non-spectral distance")
+        return p
 
-    def pull(x: int, y: int) -> Fraction:
-        v = w.d[x][y]
-        if v in spectral:
-            return choice.backward(v)
-        if owner[x] != owner[y]:
-            cross = w.d[w0[owner[x]]][w0[owner[y]]]
-            if cross not in spectral:
-                raise IntegrityError("class points at a non-spectral distance")
-            return choice.backward(cross)
-        return s1
+    def pull(x: int, y: int) -> int:
+        p = at[x][y]
+        if p is not None and p < lower:
+            return p
+        return cross(x, y) if owner[x] != owner[y] else 1
 
     n = len(rest)
     dd = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            dd[i][j] = dd[j][i] = pull(rest[i], rest[j])
-    space = FinMetricSpace(choice.base, tuple(tuple(row) for row in dd))
+            dd[i][j] = dd[j][i] = base.values[pull(rest[i], rest[j])]
+    space = FinMetricSpace(base, tuple(tuple(row) for row in dd))
 
     # the link partition must be the recovered space's own class structure
     position = {p: i for i, p in enumerate(rest)}
@@ -760,16 +753,14 @@ def recover_quotient_space(w: FinMetricSpace, w0: Sequence[int],
         raise IntegrityError("class links disagree with the recovered "
                              "similarity classes")
 
-    # cross-class distances must flatten to the class points' pullback
-    bp = blocks(choice.base)
+    # cross-class distances must flatten to the class points' pullback;
+    # the first position of a block holds its least value
+    of = base._of
     for x in rest:
         for y in rest:
             if x != y and owner[x] != owner[y]:
-                cross = w.d[w0[owner[x]]][w0[owner[y]]]
-                if cross not in spectral:
-                    raise IntegrityError("class points at a non-spectral distance")
-                v = space.d[position[x]][position[y]]
-                if bp.block_min(v) != choice.backward(cross):
+                c = cross(x, y)
+                if of.index(of[space._at[position[x]][position[y]]]) != c:
                     raise IntegrityError("cross-class distance outside the "
                                          "block its class points record")
     return space, rest
@@ -780,8 +771,8 @@ def recover_quotient_space(w: FinMetricSpace, w0: Sequence[int],
 
 
 def is_ultrametric(m: FinMetricSpace) -> bool:
-    n = m.size
-    return all(m.d[x][z] <= max(m.d[x][y], m.d[y][z])
+    n, at = m.size, m._at
+    return all(at[x][z] <= max(at[x][y], at[y][z])
                for x in range(n) for y in range(n) for z in range(n))
 
 
@@ -796,13 +787,11 @@ def rescale(m: FinMetricSpace, phi: Sequence[tuple],
     if not is_ultrametric(m):
         raise MetricError("rescaling is only valid for ultrametric spaces")
     pairs = sorted((_frac(a), _frac(b)) for a, b in phi)
-    src = [a for a, _ in pairs]
-    dst = [b for _, b in pairs]
-    if tuple(src) != m.dset.values or tuple(dst) != target.values:
+    if len(target) != len(m.dset) or pairs != list(zip(m.dset.values, target.values)):
         raise MetricError("map is not an order bijection between the sets")
-    table = dict(pairs)
+    # the bijection pairs equal positions of the two sets
     out = FinMetricSpace(target, tuple(
-        tuple(table[v] for v in row) for row in m.d))
+        tuple(target.values[p] for p in row) for row in m._at))
     assert is_ultrametric(out)
     return out
 
@@ -814,13 +803,11 @@ def metric_to_kgraph(m: FinMetricSpace) -> FinStructure:
     edge relation; isometric embeddings and colored-graph embeddings are
     then literally the same maps.
     """
-    bp = blocks(m.dset)
-    if len(bp.nontrivial) != 1:
+    if m.dset._of[-1] != 1:
         raise MetricError("graph encoding needs exactly one nontrivial block")
-    palette = bp.nontrivial[0]
-    sig = Signature.make(*[(f"E{i + 1}", 2, TAG_SYMMETRIC)
-                           for i in range(len(palette))])
     # with one nontrivial block, the i-th palette value sits at position i+1
+    palette = range(1, len(m.dset))
+    sig = Signature.make(*[(f"E{i}", 2, TAG_SYMMETRIC) for i in palette])
     rels: list[set] = [set() for _ in palette]
     for x in range(m.size):
         for y in range(m.size):

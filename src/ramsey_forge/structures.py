@@ -431,7 +431,26 @@ def structure_to_json(a: FinStructure) -> str:
     return json.dumps(structure_to_dict(a), sort_keys=True)
 
 
+def _int_rows(rows) -> bool:
+    """``rows`` is a JSON list of lists of integers (bools are not integers)."""
+    return isinstance(rows, list) and all(
+        isinstance(row, list) and all(type(v) is int for v in row) for row in rows)
+
+
 def structure_from_dict(doc: dict) -> FinStructure:
+    """The structure a JSON document describes; a document of another shape
+    raises StructureError before any of it is used."""
+    if not (isinstance(doc, dict) and isinstance(doc.get("signature"), list)
+            and type(doc.get("size")) is int
+            and isinstance(doc.get("relations", {}), dict)):
+        raise StructureError('a structure is an object with a "signature" list, '
+                             'an integer "size" and a "relations" object')
+    if not all(isinstance(s, dict) and isinstance(s.get("name"), str)
+               and type(s.get("arity")) is int for s in doc["signature"]):
+        raise StructureError('a relation symbol is an object with a "name" '
+                             'string and an integer "arity"')
+    if not all(map(_int_rows, doc.get("relations", {}).values())):
+        raise StructureError("the tuples of a relation are lists of integers")
     sig = Signature(tuple(
         RelationSpec(s["name"], s["arity"], s.get("tag", TAG_NONE))
         for s in doc["signature"]

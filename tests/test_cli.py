@@ -327,6 +327,31 @@ class TestBadInputIsUsageError:
                                   "-k", "2", "-t", "1"])
 
 
+    @staticmethod
+    def chain3_doc(**changes):
+        doc = structures.structure_to_dict(catalog.chain(3))
+        doc.update(changes)
+        return doc
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"size": 2},
+        chain3_doc(size="3"),
+        chain3_doc(size=True, relations={}),
+        chain3_doc(relations={"lt": [[0, "1"], [0, 2], [1, 2]]}),
+        chain3_doc(relations={"lt": [[0, 1.0], [0, 2], [1, 2]]}),
+        chain3_doc(relations={"lt": 5}),
+        chain3_doc(signature=[{"name": "lt", "arity": "2", "tag": "linear-order"}]),
+    ], ids=["list", "no-signature", "string-size", "bool-size", "string-in-tuple",
+            "float-in-tuple", "relation-not-a-list", "string-arity"])
+    def test_arrow_structure_of_the_wrong_shape(self, chain_files, capsys,
+                                                tmp_path, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        self.usage_error(capsys, ["arrow", "check", "--C", str(bad),
+                                  "--B", chain_files[3], "--A", chain_files[2],
+                                  "-k", "2", "-t", "1"])
+
     def test_unwritable_witness_out(self, chain_files, capsys, tmp_path):
         self.usage_error(capsys, ["arrow", "check", "--C", chain_files[5],
                                   "--B", chain_files[3], "--A", chain_files[2],
@@ -389,6 +414,35 @@ class TestBadInputIsUsageError:
             "arrow_maps": [],
         }))
         return str(path)
+
+    @staticmethod
+    def span_doc():
+        """Two copies of K2 glued at a point: a valid one-span diagram."""
+        k2 = structures.structure_to_dict(catalog.complete_graph(2))
+        point = structures.structure_to_dict(catalog.graph(1, []))
+        return {"shape": {"top": 2, "bottom": 1, "arrows": [[0, 0], [0, 1]]},
+                "top_objects": [k2, k2], "bottom_objects": [point],
+                "arrow_maps": [[0], [0]]}
+
+    @pytest.mark.parametrize("change", [
+        lambda doc: [],
+        lambda doc: {**doc, "top_objects": [[1]]},
+        lambda doc: {**doc, "arrow_maps": 5},
+        lambda doc: {**doc, "shape": {**doc["shape"], "top": "1"}},
+        lambda doc: {**doc, "bottom_objects": []},
+    ], ids=["list", "top-object-not-a-structure", "maps-not-a-list",
+            "string-top", "fewer-bottom-objects-than-the-shape"])
+    def test_diagram_of_the_wrong_shape(self, capsys, tmp_path, change):
+        path = tmp_path / "diagram.json"
+        path.write_text(json.dumps(change(self.span_doc())))
+        self.usage_error(capsys, ["diagram", "cocone", "--in", str(path),
+                                  "--max-tip", "4"])
+
+    def test_diagram_negative_max_tip(self, capsys, tmp_path):
+        path = tmp_path / "diagram.json"
+        path.write_text(json.dumps(self.span_doc()))
+        self.usage_error(capsys, ["diagram", "cocone", "--in", str(path),
+                                  "--max-tip", "-1"])
 
     def test_diagram_objects_of_two_signatures(self, capsys, tmp_path):
         path = self.diagram_file(tmp_path, [catalog.complete_graph(2),

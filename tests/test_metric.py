@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -398,6 +400,22 @@ class TestChooseSigma:
         assert len(choice.xi) == len(S)
         assert choice.backward(choice.forward(Fraction(5))) == Fraction(5)
 
+    def test_lookups_agree_with_the_listing(self):
+        choice = choose_sigma(S)
+        image = dict(choice.xi)
+        preimage = {b: a for a, b in choice.xi}
+        for v in S.values:
+            assert choice.forward(v) == image[v]
+        for v in choice.sigma.values:
+            if v in preimage:
+                assert choice.backward(v) == preimage[v]
+        with pytest.raises(MetricError):
+            choice.forward(3)
+        # the two extra levels, and a base value that sigma lacks
+        for v in (choice.eps, choice.zeta, Fraction(5)):
+            with pytest.raises(MetricError):
+                choice.backward(v)
+
 
 class TestStarTransform:
     def test_one_point_space(self):
@@ -486,6 +504,14 @@ class TestRecovery:
             seen += 1
         assert seen == 40
 
+    def test_round_trip_over_a_wider_declared_set(self):
+        star = star_transform(fixture_space())
+        wider = DistanceSet.make([*star.choice.sigma.values, 2])
+        w = FinMetricSpace(wider, star.space.d)
+        recovered, kept = recover_quotient_space(w, star.class_points, star.choice)
+        assert kept == tuple(range(4))
+        assert recovered.d == fixture_space().d
+
     def test_single_base_point(self):
         m = FinMetricSpace.make([0, 1, 2, 5, 6], [[0]])
         star = star_transform(m)
@@ -528,6 +554,11 @@ class TestRescale:
         m = FinMetricSpace.make([0, 4], [[0, 4, 4], [4, 0, 4], [4, 4, 0]])
         out = rescale(m, [(0, 0), (4, 9)], DistanceSet.make([0, 9]))
         assert set(out.spectre()) == {Fraction(0), Fraction(9)}
+
+    def test_target_of_another_size_rejected(self):
+        m = FinMetricSpace.make([0, 1, 2], [[0, 1, 2], [1, 0, 2], [2, 2, 0]])
+        with pytest.raises(MetricError):
+            rescale(m, [(0, 0), (1, 3), (2, 7)], DistanceSet.make([0, 3, 7, 9]))
 
     def test_non_ultrametric_rejected(self):
         m = FinMetricSpace.make([0, 1, 2], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
@@ -604,3 +635,39 @@ class TestRationalValuedSets:
         recovered, _ = recover_quotient_space(star.space, star.class_points,
                                               star.choice)
         assert recovered.d == m.d
+
+
+class TestNoModuleStateKeepsSets:
+    """The metric operations leave nothing behind that holds a distance set."""
+
+    @staticmethod
+    def exercise() -> list:
+        # in sevenths, which no other test uses, so that no equal set made
+        # earlier in the session can stand in for these in a cache
+        def sevenths(values):
+            return DistanceSet.make([Fraction(v, 7) for v in values])
+
+        def space(dset, rows):
+            return FinMetricSpace.make(dset, [[Fraction(v, 7) for v in row]
+                                              for row in rows])
+
+        s = sevenths([0, 1, 2, 5, 6])
+        loose, one_block = sevenths([0, 1, 2, 3]), sevenths([0, 3, 4])
+        m = space(s, [[0, 5], [5, 0]])
+        mp = space(s, [[0, 5, 1], [5, 0, 5], [1, 5, 0]])
+        mpp = space(s, [[0, 5, 6], [5, 0, 2], [6, 2, 0]])
+        assert is_compact(s)[0] and not is_compact(loose)[0]
+        assert check_4values(s)[0] and jump_numbers(s) == s.values[::2]
+        assert classify_triple(s, *s.values[2:]) == ISOSCELES
+        amalgam, _, _ = sap_amalgamate_metL(m, mp, mpp, (0, 1), (0, 1), m)
+        star = star_transform(amalgam)
+        recovered, _ = recover_quotient_space(star.space, star.class_points,
+                                              star.choice)
+        assert recovered.d == amalgam.d
+        metric_to_kgraph(space(one_block, [[0, 3], [3, 0]]))
+        return [weakref.ref(x) for x in (s, loose, one_block, star.choice.sigma)]
+
+    def test_distance_sets_are_released(self):
+        refs = self.exercise()
+        gc.collect()
+        assert [r() for r in refs] == [None] * len(refs)
