@@ -3,9 +3,9 @@
 The arrow ``C -> (B)^A_{k,t}`` holds when every k-coloring of the embedding
 set hom(A, C) admits some w in hom(B, C) whose composed copies of A use at
 most t colors.  :func:`check_arrow` decides this by a backtracking search
-for a *bad* coloring (one defeating every w) with constraint propagation;
-:func:`exhaustive_min_degree` is the independent brute-force oracle used to
-cross-check it on small instances.
+for a *bad* coloring (one defeating every w) that cuts a branch as soon as
+some w can no longer exceed t colors; :func:`exhaustive_min_degree` is the
+independent brute-force oracle used to cross-check it on small instances.
 
 Everything here works on hom-sets (embeddings), never on unordered
 "copies"; with nontrivial automorphisms those counts differ.
@@ -160,11 +160,28 @@ def check_arrow(c: FinStructure, b: FinStructure, a: FinStructure,
     Searches for a bad coloring by depth-first assignment over hom(A, C),
     most-constraining element first, colors in canonical restricted-growth
     order (color permutations never change badness, so canonical colorings
-    suffice).  A branch is pruned as soon as some w can no longer exceed t
-    colors, because every completion of the branch is then good; reaching a
-    full assignment therefore yields a bad coloring, and exhausting the
-    tree proves the arrow.  The returned witness is the first bad coloring
-    in this fixed search order, so verdicts are deterministic.
+    suffice).  The search is a loop over an explicit stack, so no recursion
+    limit bounds its depth.
+
+    Each w in hom(B, C) is a *group*: the elements of hom(A, C) it composes
+    onto.  A group's *room* is the colors already on it plus its unassigned
+    elements, the most colors it can end with.  After the early returns
+    below, k > t and every room starts above t.  Giving color c to element
+    e lowers the room of each group of e that already has c by one and
+    leaves the other rooms alone, so the child is dead (every completion
+    is good) exactly when some group of e is *tight*, with room t + 1, and
+    already has c.  The colors of e's tight groups are OR-ed into a
+    forbidden mask once per position, and each child then costs one bit
+    test.  Live children update per-(color, group) counts, which also undo
+    them; a color's row of counts is made when the color is first used, so
+    there are at most ``min(k, |hom(A, C)|)`` rows.
+
+    Every child tried is one node, dead ones included.  A search that needs
+    more than ``budget`` nodes stops at node ``budget + 1`` (node 1 for a
+    negative budget) and returns ``holds=None``.  A full assignment is a
+    bad coloring, and exhausting the tree proves the arrow.  The witness
+    is the first bad coloring in this fixed order, so verdicts, witnesses
+    and node counts are deterministic.
     """
     if k < 1 or t < 1:
         raise ValueError("k and t must be >= 1")
@@ -187,61 +204,70 @@ def check_arrow(c: FinStructure, b: FinStructure, a: FinStructure,
         for e in g:
             membership[e].append(gi)
     order = sorted(range(n), key=lambda e: (-len(membership[e]), e))
+    at = [membership[e] for e in order]
 
-    unassigned = [len(g) for g in groups]
-    distinct = [0] * len(groups)
-    color_mask = [0] * len(groups)
-    colors = [-1] * n
+    # every room on the current path is above t
+    room = [len(g) for g in groups]
+    tight = t + 1
+    mask = [0] * len(groups)          # bit c set: color c is on group g
+    count: list[list[int]] = []       # count[c][g]: elements of g colored c
+    colors = [0] * n                  # by element, valid along the path
+    chosen = [0] * n                  # by position: the color on the path
+    forbid = [0] * n                  # by position: its forbidden mask
+    opened = [0] * n                  # by position: colors used before it
+    budget = max(budget, 0)  # the first node is always tried
     nodes = 0
-    found: tuple[int, ...] | None = None
-
-    def search(pos: int, max_used: int) -> bool | None:
-        """True: bad coloring found; False: subtree exhausted; None: budget."""
-        nonlocal nodes, found
-        if pos == n:
-            found = tuple(colors)
-            return True
-        e = order[pos]
-        limit = min(max_used + 1, k - 1)
-        for col in range(limit + 1):
-            nodes += 1
+    pos = col = used = forb = 0
+    while True:
+        top = used if used < k else k - 1
+        live = ((2 << top) - (1 << col)) & ~forb
+        if not live:
+            # every color left here is dead: count them, then backtrack
+            nodes += top - col + 1
             if nodes > budget:
-                return None
+                return ArrowVerdict(holds=None, nodes=budget + 1)
+            pos -= 1
+            if pos < 0:
+                return ArrowVerdict(holds=True, nodes=nodes)
+            col, forb, used = chosen[pos], forbid[pos], opened[pos]
             bit = 1 << col
-            touched: list[tuple[int, bool]] = []
-            dead = False
-            for gi in membership[e]:
-                unassigned[gi] -= 1
-                fresh = not (color_mask[gi] & bit)
-                if fresh:
-                    color_mask[gi] |= bit
-                    distinct[gi] += 1
-                touched.append((gi, fresh))
-                d = distinct[gi]
-                if d + min(unassigned[gi], k - d) <= t:
-                    dead = True
-            result: bool | None = False
-            if not dead:
-                colors[e] = col
-                result = search(pos + 1, max(max_used, col))
-                colors[e] = -1
-            for gi, fresh in touched:
-                unassigned[gi] += 1
-                if fresh:
-                    color_mask[gi] &= ~bit
-                    distinct[gi] -= 1
-            if result is not False:
-                return result
-        return False
-
-    result = search(0, -1)
-    if result is None:
-        return ArrowVerdict(holds=None, nodes=nodes)
-    if result:
-        assert found is not None
-        return ArrowVerdict(holds=False, witness=Coloring(hom_ac, k, found),
-                            nodes=nodes)
-    return ArrowVerdict(holds=True, nodes=nodes)
+            row = count[col]
+            for g in at[pos]:
+                m = row[g] - 1
+                row[g] = m
+                if m:
+                    room[g] += 1
+                else:
+                    mask[g] ^= bit
+            col += 1
+            continue
+        bit = live & -live
+        pick = bit.bit_length() - 1
+        nodes += pick - col + 1
+        if nodes > budget:
+            return ArrowVerdict(holds=None, nodes=budget + 1)
+        chosen[pos], forbid[pos], opened[pos] = pick, forb, used
+        colors[order[pos]] = pick
+        if pick == used:
+            used += 1
+            if used > len(count):
+                count.append([0] * len(groups))
+        row = count[pick]
+        for g in at[pos]:
+            m = row[g]
+            row[g] = m + 1
+            if m:
+                room[g] -= 1
+            else:
+                mask[g] |= bit
+        pos += 1
+        if pos == n:
+            return ArrowVerdict(holds=False, nodes=nodes,
+                                witness=Coloring(hom_ac, k, tuple(colors)))
+        forb = col = 0
+        for g in at[pos]:
+            if room[g] == tight:
+                forb |= mask[g]
 
 
 def is_bad_coloring(chi: Coloring, b: FinStructure, a: FinStructure,

@@ -4,7 +4,9 @@ These deliberately re-derive definitions from scratch (no calls into the
 library's search code) so that library results are checked against a
 second route.  The one exception, ``every_instance_class_property``, runs
 the library's amalgamation search on every instance, to check the
-shortcut that the class-property loop takes.
+shortcut that the class-property loop takes.  ``seed_check_arrow`` is the
+arrow search as first written, the reference for the rewritten search; it
+shares only the instance builder ``_arrow_instance`` with the library.
 """
 
 from __future__ import annotations
@@ -16,6 +18,12 @@ from fractions import Fraction
 import pytest
 
 from ramsey_forge import diagrams
+from ramsey_forge.arrows import (
+    DEFAULT_BUDGET,
+    ArrowVerdict,
+    Coloring,
+    _arrow_instance,
+)
 from ramsey_forge.structures import FinStructure
 
 
@@ -244,3 +252,88 @@ def recursive_rational_point(i):
         return Fraction(1)
     q = recursive_rational_point(i - 1)
     return 1 / (2 * (q.numerator // q.denominator) - q + 1)
+
+
+def seed_check_arrow(c: FinStructure, b: FinStructure, a: FinStructure,
+                     k: int, t: int, budget: int = DEFAULT_BUDGET) -> ArrowVerdict:
+    """The recursive search of ``arrows.check_arrow`` as first written.
+
+    Kept verbatim below the docstring: ``check_arrow`` must return an equal
+    ``ArrowVerdict`` (verdict, witness and node count) on every instance.
+    """
+    if k < 1 or t < 1:
+        raise ValueError("k and t must be >= 1")
+    hom_ac, hom_bc, groups = _arrow_instance(c, b, a)
+    n = len(hom_ac)
+    if not hom_bc:
+        # no witness w can exist, so every coloring is bad (even the empty
+        # one when there is nothing to color); report the least
+        return ArrowVerdict(holds=False, witness=Coloring(hom_ac, k, (0,) * n),
+                            nodes=0)
+    if n == 0:
+        # nothing to color and a witness exists: the arrow holds vacuously
+        return ArrowVerdict(holds=True, nodes=0)
+    # a group that can never exceed t colors makes the arrow hold outright
+    if any(min(len(g), k) <= t for g in groups):
+        return ArrowVerdict(holds=True, nodes=0)
+
+    membership: list[list[int]] = [[] for _ in range(n)]
+    for gi, g in enumerate(groups):
+        for e in g:
+            membership[e].append(gi)
+    order = sorted(range(n), key=lambda e: (-len(membership[e]), e))
+
+    unassigned = [len(g) for g in groups]
+    distinct = [0] * len(groups)
+    color_mask = [0] * len(groups)
+    colors = [-1] * n
+    nodes = 0
+    found: tuple[int, ...] | None = None
+
+    def search(pos: int, max_used: int) -> bool | None:
+        """True: bad coloring found; False: subtree exhausted; None: budget."""
+        nonlocal nodes, found
+        if pos == n:
+            found = tuple(colors)
+            return True
+        e = order[pos]
+        limit = min(max_used + 1, k - 1)
+        for col in range(limit + 1):
+            nodes += 1
+            if nodes > budget:
+                return None
+            bit = 1 << col
+            touched: list[tuple[int, bool]] = []
+            dead = False
+            for gi in membership[e]:
+                unassigned[gi] -= 1
+                fresh = not (color_mask[gi] & bit)
+                if fresh:
+                    color_mask[gi] |= bit
+                    distinct[gi] += 1
+                touched.append((gi, fresh))
+                d = distinct[gi]
+                if d + min(unassigned[gi], k - d) <= t:
+                    dead = True
+            result: bool | None = False
+            if not dead:
+                colors[e] = col
+                result = search(pos + 1, max(max_used, col))
+                colors[e] = -1
+            for gi, fresh in touched:
+                unassigned[gi] += 1
+                if fresh:
+                    color_mask[gi] &= ~bit
+                    distinct[gi] -= 1
+            if result is not False:
+                return result
+        return False
+
+    result = search(0, -1)
+    if result is None:
+        return ArrowVerdict(holds=None, nodes=nodes)
+    if result:
+        assert found is not None
+        return ArrowVerdict(holds=False, witness=Coloring(hom_ac, k, found),
+                            nodes=nodes)
+    return ArrowVerdict(holds=True, nodes=nodes)

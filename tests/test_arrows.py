@@ -1,7 +1,9 @@
 import itertools
+import random
 from math import inf
 
 import pytest
+from conftest import seed_check_arrow
 
 from ramsey_forge import catalog, universes
 from ramsey_forge.arrows import (
@@ -19,7 +21,12 @@ from ramsey_forge.arrows import (
     sierpinski_pattern,
     transfer_check,
 )
-from ramsey_forge.structures import Embedding, enumerate_embeddings, restriction
+from ramsey_forge.structures import (
+    Embedding,
+    FinStructure,
+    enumerate_embeddings,
+    restriction,
+)
 
 
 def constant_coloring(base_hom, k=2, color=0):
@@ -158,14 +165,39 @@ class TestCheckArrow:
                     prev = holds
 
     def test_antimonotone_in_k(self):
+        # fewer colors keep an arrow: C -> (B)^A_{k',t} gives C -> (B)^A_{k,t}
+        # for every k < k'
         a, b = catalog.chain(2), catalog.chain(3)
+        implied = 0
         for nc in range(3, 7):
             c = catalog.chain(nc)
             for t in (1, 2):
-                for k in (3, 2):
-                    pass
-                if check_arrow(c, b, a, 3, t).holds:
-                    assert check_arrow(c, b, a, 2, t).holds
+                holds = {k: check_arrow(c, b, a, k, t).holds for k in (2, 3, 4)}
+                for k, wider in itertools.combinations((2, 3, 4), 2):
+                    if holds[wider]:
+                        assert holds[k] is True
+                        implied += 1
+        assert implied >= 6  # chain5 and chain6 hold at t = 2 for every k
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_huge_k_searches_as_k_equal_to_the_hom_set(self, t):
+        # restricted growth never opens more colors than there are elements
+        c, b, a = catalog.chain(5), catalog.chain(3), catalog.chain(2)
+        n = len(enumerate_embeddings(a, c))
+        huge = check_arrow(c, b, a, 10 ** 9, t)
+        same = check_arrow(c, b, a, n, t)
+        assert (huge.holds, huge.nodes) == (same.holds, same.nodes)
+        assert huge.witness.assignment == same.witness.assignment
+
+    def test_deep_instance_needs_no_recursion(self):
+        # 1200 positions on one branch, past Python's recursion limit
+        c = catalog.path_graph(1200)
+        b, a = catalog.complete_graph(2), catalog.empty_graph(1)
+        v = check_arrow(c, b, a, 2, 1, budget=10 ** 5)
+        assert v.holds is False and v.nodes == 1800
+        colors = v.witness.assignment
+        assert all(colors[x] != colors[x + 1] for x in range(1199))
+        assert is_bad_coloring(v.witness, b, a, c, 1)
 
     def test_oracle_equivalence_small_mixed_pool(self):
         instances = [
@@ -186,6 +218,112 @@ class TestCheckArrow:
                 for t in (1, 2):
                     assert (check_arrow(c, b, a, k, t).holds
                             == exhaustive_check_arrow(c, b, a, k, t))
+
+
+def random_structure(kind, n, rng):
+    """A seeded random member of ``kind`` on ``n`` points."""
+    pairs = list(itertools.combinations(range(n), 2))
+    if kind == "graphs":
+        return catalog.graph(n, [p for p in pairs if rng.random() < 0.5])
+    if kind == "oriented-graphs":
+        arcs = [p if rng.random() < 0.5 else p[::-1]
+                for p in pairs if rng.random() < 2 / 3]
+        return catalog.oriented_graph(n, arcs)
+    if kind == "tournaments":
+        return catalog.oriented_graph(
+            n, [p if rng.random() < 0.5 else p[::-1] for p in pairs])
+    # posets: the transitive closure of random pairs along a random order
+    order = list(range(n))
+    rng.shuffle(order)
+    below = {(order[i], order[j]) for i, j in pairs if rng.random() < 0.4}
+    for mid in order:
+        below |= {(x, z) for x, y in below if y == mid
+                  for y2, z in below if y2 == mid}
+    return FinStructure.build(catalog.POSET_SIG, n, {"po": sorted(below)})
+
+
+# (n, b, a, k): chain(n) -> (chain b)^(chain a)_{k,1}, the rungs of the
+# arrow-ladder benchmark; the capped ones stay undecided within 10^5 nodes
+DECIDED_RUNGS = ((5, 3, 2, 2), (6, 3, 2, 2), (5, 3, 2, 3), (6, 3, 2, 3),
+                 (6, 4, 2, 2), (7, 4, 2, 2), (6, 4, 3, 2))
+CAPPED_RUNGS = ((10, 4, 2, 2), (10, 3, 2, 3), (12, 4, 3, 2))
+
+
+class TestSearchAgainstSeed:
+    """``check_arrow`` returns the seed search's verdict, witness and node
+    count: same element order, color order and node counting."""
+
+    def test_decided_rungs_relabelled(self):
+        rng = random.Random(9)
+        for n, b, a, k in DECIDED_RUNGS:
+            for _ in range(3):
+                order = list(range(n))
+                rng.shuffle(order)
+                c = FinStructure.build(catalog.CHAIN_SIG, n,
+                                       {"lt": catalog.linear_order_pairs(order)})
+                for budget in (50, 500, 10 ** 5):
+                    args = (c, catalog.chain(b), catalog.chain(a), k, 1, budget)
+                    assert check_arrow(*args) == seed_check_arrow(*args)
+
+    def test_capped_rungs_spend_the_budget(self):
+        for n, b, a, k in CAPPED_RUNGS:
+            args = (catalog.chain(n), catalog.chain(b), catalog.chain(a), k, 1,
+                    2 * 10 ** 4)
+            v = check_arrow(*args)
+            assert v.holds is None and v.nodes == 20001
+            assert v == seed_check_arrow(*args)
+
+    @pytest.mark.parametrize("n,b,a,k", [(6, 3, 2, 2), (9, 4, 2, 2),
+                                         (7, 4, 3, 2)])
+    def test_budget_at_the_node_count(self, n, b, a, k):
+        args = (catalog.chain(n), catalog.chain(b), catalog.chain(a), k, 1)
+        full = seed_check_arrow(*args)
+        assert full.decided
+        exact = check_arrow(*args, budget=full.nodes)
+        assert exact == full
+        short = check_arrow(*args, budget=full.nodes - 1)
+        assert short == seed_check_arrow(*args, budget=full.nodes - 1)
+        assert short.holds is None and short.nodes == full.nodes
+
+    @pytest.mark.parametrize("kind", ["graphs", "oriented-graphs",
+                                      "tournaments", "posets"])
+    def test_random_instances(self, kind):
+        rng = random.Random(kind)
+        klass = catalog.CLASSES[kind]
+        searched = 0
+        for _ in range(120):
+            c = random_structure(kind, rng.randint(4, 8), rng)
+            b = rng.choice(klass.members(rng.choice((2, 3))))
+            a = rng.choice(klass.members(rng.choice((1, 2))))
+            k, t = rng.randint(2, 4), rng.randint(1, 2)
+            budget = rng.choice((rng.randint(10, 200), rng.randint(200, 20000)))
+            v = check_arrow(c, b, a, k, t, budget)
+            assert v == seed_check_arrow(c, b, a, k, t, budget)
+            searched += v.nodes > 0
+        assert searched >= 30
+
+    def test_negative_budget_tries_one_node(self):
+        args = (catalog.chain(6), catalog.chain(3), catalog.chain(2), 2, 1, -3)
+        v = check_arrow(*args)
+        assert v == seed_check_arrow(*args) and v.nodes == 1
+
+
+class TestArrowLadder:
+    """Node counts in the natural labelling, pinned so that a change to
+    the search order or the pruning must update them on purpose."""
+
+    @pytest.mark.parametrize("n,b,a,k,holds,nodes", [
+        (6, 3, 2, 2, True, 987),
+        (9, 4, 2, 2, False, 12474),
+        (8, 3, 2, 3, False, 87726),
+        (7, 4, 3, 2, False, 22647),
+    ])
+    def test_pinned_node_counts(self, n, b, a, k, holds, nodes):
+        c, bb, aa = catalog.chain(n), catalog.chain(b), catalog.chain(a)
+        v = check_arrow(c, bb, aa, k, 1, budget=10 ** 6)
+        assert (v.holds, v.nodes) == (holds, nodes)
+        if not holds:
+            assert is_bad_coloring(v.witness, bb, aa, c, 1)
 
 
 class TestExhaustiveOracle:

@@ -93,6 +93,33 @@ class TestArrowCommand:
                                "--A", chain_files[2], "-k", "2", "-t", "1"])
         assert code == EXIT_UNDECIDED
 
+    def test_deep_instance_reports_a_witness(self, capsys, tmp_path):
+        # one branch of the search is 1200 positions deep, past Python's
+        # recursion limit
+        paths = []
+        for name, s in (("C", catalog.path_graph(1200)),
+                        ("B", catalog.complete_graph(2)),
+                        ("A", catalog.empty_graph(1))):
+            p = tmp_path / f"{name}.json"
+            p.write_text(structure_to_json(s))
+            paths += [f"--{name}", str(p)]
+        code = dispatch(["--budget", "100000", "arrow", "check", *paths,
+                         "-k", "2", "-t", "1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_FAIL
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["holds"] is False
+        assert len(doc["witness"]["assignment"]) == 1200
+
+    def test_huge_k_allocates_nothing_per_color(self, chain_files, capsys):
+        code, out = run(capsys, ["arrow", "check", "--C", chain_files[5],
+                                 "--B", chain_files[3], "--A", chain_files[2],
+                                 "-k", "1000000000", "-t", "1"])
+        assert code == EXIT_FAIL
+        doc = json.loads(out)
+        assert doc["k"] == 1000000000 and doc["holds"] is False
+
 
 class TestFraisseCommand:
     def test_ap_chains(self, capsys):
