@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 
@@ -151,6 +151,50 @@ class FinStructure:
     def domain(self) -> range:
         return range(self.size)
 
+    # The embedding search's tables, built on first use and kept with the
+    # structure: what it reads of a source, and the masks it reads of a
+    # target, which keeps only those.
+
+    @cached_property
+    def _point_types(self) -> tuple[list[int], list[dict[int, int]],
+                                    list[dict[tuple[int, int], int]]]:
+        return _sparse_types(self)
+
+    @cached_property
+    def _type_masks(self) -> tuple[dict[int, int], list[dict[int, int]],
+                                   dict[tuple[int, int], list[int]]]:
+        """The target side of the embedding search, as bitmasks of points:
+        per self type the points of that type; per point x and pair type
+        the points y with (x, y) of that type, type 0 being every point but
+        x that is unrelated to x; per degree-profile key a list whose c-th
+        entry holds the points of degree at least c."""
+        self_types, pair_types, profiles = _sparse_types(self)
+        everyone = (1 << self.size) - 1
+        by_self: dict[int, int] = {}
+        for x, t in enumerate(self_types):
+            by_self[t] = by_self.get(t, 0) | 1 << x
+        by_pair: list[dict[int, int]] = []
+        for x, types in enumerate(pair_types):
+            masks = {0: everyone ^ 1 << x}
+            for y, t in types.items():
+                masks[t] = masks.get(t, 0) | 1 << y
+                masks[0] ^= 1 << y
+            by_pair.append(masks)
+        by_count: dict[tuple[int, int], dict[int, int]] = {}
+        for x, profile in enumerate(profiles):
+            for key, count in profile.items():
+                counts = by_count.setdefault(key, {})
+                counts[count] = counts.get(count, 0) | 1 << x
+        at_least: dict[tuple[int, int], list[int]] = {}
+        for key, counts in by_count.items():
+            row = [everyone] * (max(counts) + 1)
+            acc = 0
+            for c in range(len(row) - 1, 0, -1):
+                acc |= counts.get(c, 0)
+                row[c] = acc
+            at_least[key] = row
+        return by_self, by_pair, at_least
+
     def __repr__(self) -> str:  # compact, deterministic
         parts = ", ".join(
             f"{spec.name}={sorted(tuples)}"
@@ -217,6 +261,34 @@ def is_embedding(f: Sequence[int], a: FinStructure, b: FinStructure) -> bool:
     return True
 
 
+def _sparse_types(s: FinStructure) -> tuple[list[int], list[dict[int, int]],
+                                            list[dict[tuple[int, int], int]]]:
+    """Per point x: its self type (one bit per relation of arity 1 or 2,
+    set when it holds (x,) or (x, x)), the nonzero types of the pairs
+    (x, y) as ``{y: type}``, and its relation-degree profile.  A pair type
+    has one bit per (binary relation, direction): bit 2i for (x, y) in the
+    i-th binary relation, bit 2i + 1 for (y, x)."""
+    self_types = [0] * s.size
+    pair_types: list[dict[int, int]] = [{} for _ in s.domain]
+    bit = pair_bit = 1
+    for spec, tuples in zip(s.signature.relations, s.relations):
+        if spec.arity == 1:
+            for (x,) in tuples:
+                self_types[x] |= bit
+            bit <<= 1
+        elif spec.arity == 2:
+            back = pair_bit << 1
+            for x, y in tuples:
+                if x == y:
+                    self_types[x] |= bit
+                else:
+                    pair_types[x][y] = pair_types[x].get(y, 0) | pair_bit
+                    pair_types[y][x] = pair_types[y].get(x, 0) | back
+            bit <<= 1
+            pair_bit <<= 2
+    return self_types, pair_types, _degree_profiles(s)
+
+
 def _degree_profiles(s: FinStructure) -> list[dict[tuple[int, int], int]]:
     """Per vertex: counts of incident relation tuples by (relation, position)."""
     profiles: list[dict[tuple[int, int], int]] = [dict() for _ in s.domain]
@@ -228,81 +300,103 @@ def _degree_profiles(s: FinStructure) -> list[dict[tuple[int, int], int]]:
     return profiles
 
 
-def _embedding_search(a: FinStructure, b: FinStructure
+def _embedding_search(a: FinStructure, b: FinStructure, below: int | None = None
                       ) -> Iterator[tuple[int, ...]]:
-    """Backtracking search for embeddings of ``a`` into ``b``.
+    """Embeddings of ``a`` into ``b``, in lexicographic map order.
 
-    Vertices of ``a`` are assigned in increasing order with candidates tried
-    in increasing order, so the emitted maps are in lexicographic order.
-    Candidates are pre-filtered by relation-degree profiles.
+    Candidate sets are bitmasks over the points of ``b``.  Vertex v of ``a``
+    starts from the points of ``b`` with its self type (loops and unary
+    tuples) and at least its relation-degree profile.  Once the vertices
+    below v are placed, v's candidates are those points AND-ed with, for
+    every placed u, the mask of points y of ``b`` whose pair type with f(u)
+    is the type of (u, v) in ``a``; "no relation" is a type too, so that
+    one AND both preserves and reflects every relation of arity at most 2,
+    and excludes the points already used.  Relations of arity 3 or more are
+    checked tuple by tuple as each vertex is placed.  Vertices are placed
+    in increasing order and candidates taken lowest bit first, so maps come
+    out in lexicographic order.
+
+    ``below`` limits the images to the points below it: the embeddings into
+    the initial segment ``restriction(b, range(below))``, which that
+    segment's own relabelling leaves unchanged, found without building it.
     """
     if a.signature != b.signature:
         raise SignatureMismatchError("enumerate_embeddings: signatures differ")
     n = a.size
-    if n > b.size:
+    m = b.size if below is None else min(below, b.size)
+    if n > m:
         return
     if n == 0:
         yield ()
         return
 
-    prof_a = _degree_profiles(a)
-    prof_b = _degree_profiles(b)
-    candidates: list[list[int]] = []
+    a_self, a_pairs, a_profiles = a._point_types
+    b_self, b_pairs, b_at_least = b._type_masks
+    within = (1 << m) - 1
+    domains: list[int] = []
     for v in a.domain:
-        need = prof_a[v]
-        cands = [w for w in b.domain
-                 if all(prof_b[w].get(k, 0) >= c for k, c in need.items())]
-        if not cands:
+        dom = b_self.get(a_self[v], 0) & within
+        for key, count in a_profiles[v].items():
+            at_least = b_at_least.get(key, ())
+            dom &= at_least[count] if count < len(at_least) else 0
+        if not dom:
             return
-        candidates.append(cands)
+        domains.append(dom)
+    # per vertex v: (u, type of (u, v)) for every u < v, related pairs
+    # first, as they cut the candidates most
+    needs = [sorted(((u, a_pairs[u].get(v, 0)) for u in range(v)),
+                    key=lambda ut: not ut[1])
+             for v in a.domain]
 
-    # tuples of a touching vertex v whose other entries are all already
-    # assigned once v is placed (vertices assigned in increasing order)
-    a_constraints: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in a.domain]
-    for ri, tuples in enumerate(a.relations):
-        for t in tuples:
-            a_constraints[max(t)].append((ri, t))
-
-    b_rels = b.relations
-    a_rels = a.relations
-    assignment: list[int] = [-1] * n
-    used = [False] * b.size
-    b_tuples_by_vertex: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in b.domain]
-    for ri, tuples in enumerate(b_rels):
-        for t in tuples:
+    # relations of arity >= 3: the tuples of a that are complete once
+    # their largest vertex is placed, and the tuples of b at each point
+    wide = [ri for ri, spec in enumerate(a.signature.relations) if spec.arity > 2]
+    a_wide: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in a.domain]
+    b_wide: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for ri in wide:
+        for t in a.relations[ri]:
+            a_wide[max(t)].append((ri, t))
+        for t in b.relations[ri]:
             for w in set(t):
-                b_tuples_by_vertex[w].append((ri, t))
+                b_wide.setdefault(w, []).append((ri, t))
 
-    def extend(v: int) -> Iterator[tuple[int, ...]]:
-        for w in candidates[v]:
-            if used[w]:
-                continue
-            ok = True
-            for ri, t in a_constraints[v]:
-                if tuple(assignment[x] if x != v else w for x in t) not in b_rels[ri]:
-                    ok = False
-                    break
-            if ok:
-                # reflection on tuples of b that fall inside the partial image
-                inv = {assignment[u]: u for u in range(v)}
-                inv[w] = v
-                for ri, t in b_tuples_by_vertex[w]:
-                    if all(x in inv for x in t):
-                        if tuple(inv[x] for x in t) not in a_rels[ri]:
-                            ok = False
-                            break
-            if not ok:
-                continue
-            assignment[v] = w
-            used[w] = True
-            if v + 1 == n:
-                yield tuple(assignment)
-            else:
-                yield from extend(v + 1)
-            used[w] = False
-            assignment[v] = -1
+    f = [0] * n  # f[u] is the image of u, for the u below the current level
 
-    yield from extend(0)
+    def wide_ok(v: int, w: int) -> bool:
+        for ri, t in a_wide[v]:
+            if tuple(f[x] if x != v else w for x in t) not in b.relations[ri]:
+                return False
+        inv = {f[u]: u for u in range(v)}
+        inv[w] = v
+        for ri, t in b_wide.get(w, ()):
+            if all(x in inv for x in t) and tuple(inv[x] for x in t) not in a.relations[ri]:
+                return False
+        return True
+
+    candidates = [0] * n
+    candidates[0] = domains[0]
+    v = 0
+    while v >= 0:
+        cands = candidates[v]
+        if not cands:
+            v -= 1
+            continue
+        low = cands & -cands
+        candidates[v] = cands ^ low
+        w = low.bit_length() - 1
+        if wide and not wide_ok(v, w):
+            continue
+        f[v] = w
+        if v + 1 == n:
+            yield tuple(f)
+            continue
+        v += 1
+        cands = domains[v]
+        for u, t in needs[v]:
+            cands &= b_pairs[f[u]].get(t, 0)
+            if not cands:
+                break
+        candidates[v] = cands
 
 
 @lru_cache(maxsize=None)

@@ -27,8 +27,9 @@ from .structures import (
     TAG_SYMMETRIC,
     FinStructure,
     Signature,
+    SignatureMismatchError,
+    _embedding_search,
     first_embedding,
-    restriction,
 )
 
 ORDERED_GRAPH_SIG = Signature.make(("E", 2, TAG_SYMMETRIC), ("omega", 2, TAG_LINEAR))
@@ -267,17 +268,26 @@ def check_universal(kind: str, klass: StructClass, max_size: int,
     size-``segment`` initial segment, and how small a segment suffices?
 
     A member not found within ``segment`` is reported, never escalated: a
-    larger segment might still contain it.
+    larger segment might still contain it.  A class whose signature is not
+    the universe's raises :class:`SignatureMismatchError` before any search.
 
     Each member is searched in the full segment first.  Every smaller
     segment is an induced substructure of it, so an absent member costs
     that one search.  A member that embeds has its least segment scanned
     upward, no further than one past the largest point of the embedding
-    already found.
+    already found.  Each scan step reuses the full segment's pair-type
+    masks with the images limited to the points below the step's size: the
+    initial segment is its own relabelling, so this finds the embeddings
+    into it without building a restricted copy.
     """
     if segment < max_size:
         raise ValueError("segment must be at least the class size bound")
     universe = generate(kind, segment)
+    if universe.signature != klass.signature:
+        raise SignatureMismatchError(
+            f"universe kind {kind!r} (relations {list(universe.signature.names)})"
+            f" and class {klass.name!r} (relations {list(klass.signature.names)})"
+            " have different signatures")
     entries = []
     for mi, member in enumerate(klass.members_up_to(max_size)):
         minimal: int | None = None
@@ -285,7 +295,7 @@ def check_universal(kind: str, klass: StructClass, max_size: int,
         if found is not None:
             minimal = max(found.map, default=-1) + 1
             for np_ in range(member.size, minimal):
-                if first_embedding(member, restriction(universe, range(np_))) is not None:
+                if next(_embedding_search(member, universe, np_), None) is not None:
                     minimal = np_
                     break
         entries.append(UniversalityEntry(mi, member.size, minimal is not None,

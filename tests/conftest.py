@@ -7,6 +7,8 @@ the library's amalgamation search on every instance, to check the
 shortcut that the class-property loop takes.  ``seed_check_arrow`` is the
 arrow search as first written, the reference for the rewritten search; it
 shares only the instance builder ``_arrow_instance`` with the library.
+``seed_embedding_search`` is the embedding search as first written, the
+reference for the bitset search; it shares nothing with the library.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from typing import Iterator
 
 import pytest
 
@@ -24,7 +27,7 @@ from ramsey_forge.arrows import (
     Coloring,
     _arrow_instance,
 )
-from ramsey_forge.structures import FinStructure
+from ramsey_forge.structures import FinStructure, SignatureMismatchError
 
 
 def brute_force_embedding_maps(a: FinStructure, b: FinStructure
@@ -337,3 +340,92 @@ def seed_check_arrow(c: FinStructure, b: FinStructure, a: FinStructure,
         return ArrowVerdict(holds=False, witness=Coloring(hom_ac, k, found),
                             nodes=nodes)
     return ArrowVerdict(holds=True, nodes=nodes)
+
+
+def _degree_profiles(s: FinStructure) -> list[dict[tuple[int, int], int]]:
+    """Per vertex: counts of incident relation tuples by (relation, position)."""
+    profiles: list[dict[tuple[int, int], int]] = [dict() for _ in s.domain]
+    for ri, tuples in enumerate(s.relations):
+        for t in tuples:
+            for pos, v in enumerate(t):
+                key = (ri, pos)
+                profiles[v][key] = profiles[v].get(key, 0) + 1
+    return profiles
+
+
+def seed_embedding_search(a: FinStructure, b: FinStructure
+                          ) -> Iterator[tuple[int, ...]]:
+    """The backtracking search of ``structures._embedding_search`` as first
+    written.
+
+    Kept verbatim below the docstring, with its helper ``_degree_profiles``:
+    ``enumerate_embeddings`` and ``first_embedding`` must give the same maps
+    in the same order.
+    """
+    if a.signature != b.signature:
+        raise SignatureMismatchError("enumerate_embeddings: signatures differ")
+    n = a.size
+    if n > b.size:
+        return
+    if n == 0:
+        yield ()
+        return
+
+    prof_a = _degree_profiles(a)
+    prof_b = _degree_profiles(b)
+    candidates: list[list[int]] = []
+    for v in a.domain:
+        need = prof_a[v]
+        cands = [w for w in b.domain
+                 if all(prof_b[w].get(k, 0) >= c for k, c in need.items())]
+        if not cands:
+            return
+        candidates.append(cands)
+
+    # tuples of a touching vertex v whose other entries are all already
+    # assigned once v is placed (vertices assigned in increasing order)
+    a_constraints: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in a.domain]
+    for ri, tuples in enumerate(a.relations):
+        for t in tuples:
+            a_constraints[max(t)].append((ri, t))
+
+    b_rels = b.relations
+    a_rels = a.relations
+    assignment: list[int] = [-1] * n
+    used = [False] * b.size
+    b_tuples_by_vertex: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in b.domain]
+    for ri, tuples in enumerate(b_rels):
+        for t in tuples:
+            for w in set(t):
+                b_tuples_by_vertex[w].append((ri, t))
+
+    def extend(v: int) -> Iterator[tuple[int, ...]]:
+        for w in candidates[v]:
+            if used[w]:
+                continue
+            ok = True
+            for ri, t in a_constraints[v]:
+                if tuple(assignment[x] if x != v else w for x in t) not in b_rels[ri]:
+                    ok = False
+                    break
+            if ok:
+                # reflection on tuples of b that fall inside the partial image
+                inv = {assignment[u]: u for u in range(v)}
+                inv[w] = v
+                for ri, t in b_tuples_by_vertex[w]:
+                    if all(x in inv for x in t):
+                        if tuple(inv[x] for x in t) not in a_rels[ri]:
+                            ok = False
+                            break
+            if not ok:
+                continue
+            assignment[v] = w
+            used[w] = True
+            if v + 1 == n:
+                yield tuple(assignment)
+            else:
+                yield from extend(v + 1)
+            used[w] = False
+            assignment[v] = -1
+
+    yield from extend(0)

@@ -298,6 +298,7 @@ class TestBadInputIsUsageError:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert err.startswith("error: ") and err.count("\n") == 1
+        return err
 
     def test_arrow_signature_mismatch(self, chain_files, capsys, tmp_path):
         graph = tmp_path / "k3.json"
@@ -319,6 +320,16 @@ class TestBadInputIsUsageError:
         self.usage_error(capsys, ["universe", "audit", "--kind", "rado",
                                   "--class", "graphs", "--max-size", "3",
                                   "-N", "2"])
+
+    @pytest.mark.parametrize("kind, klass, max_size", [
+        ("rado", "chains", "0"),
+        ("rational-chain", "graphs", "2"),
+    ], ids=["no-members", "with-members"])
+    def test_audit_class_of_another_signature(self, capsys, kind, klass, max_size):
+        err = self.usage_error(capsys, ["universe", "audit", "--kind", kind,
+                                        "--class", klass, "--max-size", max_size,
+                                        "-N", "4"])
+        assert kind.replace("-", "_") in err and klass in err
 
     @pytest.mark.parametrize("argv", [
         ["fraisse", "check", "--class", "graphs", "--property", "AP",

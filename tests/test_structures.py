@@ -1,18 +1,22 @@
 import itertools
 import json
+import random
 
 import pytest
 
-from ramsey_forge import catalog
+from ramsey_forge import catalog, universes
 from ramsey_forge.structures import (
     Embedding,
     FinStructure,
+    Signature,
     SignatureMismatchError,
     StructureError,
+    _embedding_search,
     are_isomorphic,
     canonical_key,
     compose,
     enumerate_embeddings,
+    first_embedding,
     identity_embedding,
     inclusion_of_restriction,
     is_embedding,
@@ -24,7 +28,11 @@ from ramsey_forge.structures import (
     structure_to_json,
 )
 
-from conftest import brute_force_embedding_maps, brute_force_isomorphism
+from conftest import (
+    brute_force_embedding_maps,
+    brute_force_isomorphism,
+    seed_embedding_search,
+)
 
 
 def permuted_chain(order):
@@ -116,6 +124,123 @@ class TestEnumerateEmbeddings:
                      (catalog.chain(3), catalog.chain(6))]:
             for e in enumerate_embeddings(a, b):
                 assert is_embedding(e.map, a, b)
+
+
+def assert_seed_maps(a, b, limit=None):
+    """The search gives the seed search's maps in the seed's order (the
+    first ``limit`` of them when given), and ``first_embedding`` its first."""
+    want = list(itertools.islice(seed_embedding_search(a, b), limit))
+    if limit is None:
+        assert [e.map for e in enumerate_embeddings(a, b)] == want, (a, b)
+    else:
+        assert list(itertools.islice(_embedding_search(a, b), limit)) == want, (a, b)
+    first = first_embedding(a, b)
+    assert (first and first.map) == (want[0] if want else None), (a, b)
+    return len(want)
+
+
+def assert_seed_scan(a, b):
+    """Limiting the images to the points below n gives the seed's maps into
+    the initial segment of size n, for every n."""
+    for n in range(b.size + 1):
+        assert list(_embedding_search(a, b, n)) == list(
+            seed_embedding_search(a, restriction(b, range(n)))), (a, b, n)
+
+
+MIXED_SIG = Signature.make(("P", 1), ("R", 3), ("L", 2))
+
+
+def random_mixed(rng, n):
+    """A structure with a unary relation, a ternary one, and a binary one
+    under tag ``none``, loops included."""
+    return FinStructure.build(MIXED_SIG, n, {
+        "P": [(x,) for x in range(n) if rng.random() < 0.5],
+        "R": [t for t in itertools.product(range(n), repeat=3) if rng.random() < 0.08],
+        "L": [t for t in itertools.product(range(n), repeat=2) if rng.random() < 0.3],
+    })
+
+
+def induced_copy(rng, s, k):
+    """The substructure of ``s`` on k random points, listed in random order."""
+    points = rng.sample(range(s.size), k)
+    position = {x: i for i, x in enumerate(points)}
+    return FinStructure(s.signature, k, tuple(
+        frozenset(tuple(position[x] for x in t) for t in tuples
+                  if all(x in position for x in t))
+        for tuples in s.relations))
+
+
+def ordered_graph(g):
+    return FinStructure.build(universes.ORDERED_GRAPH_SIG, g.size, {
+        "E": g.rel("E"), "omega": catalog.linear_order_pairs(range(g.size))})
+
+
+# a class of the universe's signature per universe kind; ordered graphs
+# are the graph members with the natural order added
+KIND_MEMBERS = {
+    "rado": lambda: catalog.CLASSES["graphs"].members_up_to(3),
+    "ordered_rado": lambda: [ordered_graph(g) for g in
+                             catalog.CLASSES["graphs"].members_up_to(3)],
+    "acyclic_universal": lambda: catalog.CLASSES["dags"].members_up_to(3),
+    "henson3": lambda: catalog.CLASSES["graphs"].members_up_to(3),
+    "acyclic_triangle_free": lambda: catalog.CLASSES["oriented-graphs"].members_up_to(3),
+    "rational_chain": lambda: catalog.CLASSES["permutations"].members_up_to(3),
+    "permutational_poset":
+        lambda: catalog.CLASSES["linearly-ordered-posets"].members_up_to(3),
+}
+
+
+class TestSearchAgainstSeed:
+    """The bitset search against the seed's backtracking search: the same
+    maps, in the same order."""
+
+    @pytest.mark.parametrize("name", ["graphs", "oriented-graphs", "tournaments",
+                                      "posets", "linearly-ordered-posets",
+                                      "chains", "permutations"])
+    def test_member_pairs_up_to_4(self, name):
+        members = catalog.CLASSES[name].members_up_to(4)
+        maps = sum(assert_seed_maps(a, b) for a in members for b in members)
+        assert maps >= len(members)
+
+    @pytest.mark.parametrize("kind, name, max_size, segment", [
+        ("rado", "graphs", 5, 64),
+        ("acyclic_universal", "dags", 4, 64),
+        ("permutational_poset", "linearly-ordered-posets", 4, 16),
+    ])
+    def test_first_200_maps_of_audited_members(self, kind, name, max_size, segment):
+        universe = universes.generate(kind, segment)
+        for member in catalog.CLASSES[name].members_up_to(max_size):
+            assert_seed_maps(member, universe, 200)
+
+    @pytest.mark.parametrize("kind", universes.KINDS)
+    def test_small_members_into_every_universe_kind(self, kind):
+        universe = universes.generate(kind, 12)
+        for member in KIND_MEMBERS[kind]():
+            assert_seed_maps(member, universe)
+            assert_seed_scan(member, universe)
+
+    def test_unary_ternary_and_loops(self):
+        rng = random.Random(10)
+        targets = [random_mixed(rng, n) for n in (1, 3, 4, 5, 5, 6, 6)]
+        sources = [random_mixed(rng, n) for n in (0, 1, 1, 2, 2, 3)]
+        sources += [induced_copy(rng, b, k) for b in targets
+                    for k in range(1, min(b.size, 4) + 1) for _ in range(2)]
+        assert any(b.rel("L") & {(x, x) for x in b.domain} for b in targets)
+        nonempty = sum(bool(assert_seed_maps(a, b)) for a in sources for b in targets)
+        assert nonempty >= 60
+        for a in sources[:12]:
+            for b in targets:
+                assert_seed_scan(a, b)
+
+    def test_pair_into_a_long_path(self):
+        maps = assert_seed_maps(catalog.complete_graph(2), catalog.path_graph(1200))
+        assert maps == 2398
+
+    @pytest.mark.parametrize("search", [enumerate_embeddings, first_embedding])
+    def test_signature_mismatch_message(self, search):
+        with pytest.raises(SignatureMismatchError,
+                           match=r"^enumerate_embeddings: signatures differ$"):
+            search(catalog.chain(2), catalog.complete_graph(3))
 
 
 class TestComposition:

@@ -7,7 +7,11 @@ from pathlib import Path
 import pytest
 
 from ramsey_forge import catalog, diagrams, universes
-from ramsey_forge.structures import first_embedding, restriction
+from ramsey_forge.structures import (
+    SignatureMismatchError,
+    first_embedding,
+    restriction,
+)
 from ramsey_forge.universes import (
     KINDS,
     UniversalityEntry,
@@ -258,6 +262,12 @@ class TestUniversality:
                 assert first_embedding(
                     members[entry.member_index],
                     restriction(universe, range(n - 1))) is None
+
+    @pytest.mark.parametrize("max_size", [0, 2])
+    def test_class_of_another_signature_rejected(self, max_size):
+        with pytest.raises(SignatureMismatchError,
+                           match="'rado'.*'chains'.*different signatures"):
+            check_universal("rado", catalog.CLASSES["chains"], max_size, 4)
 
     def test_not_found_reported_not_raised(self):
         # a 5-cycle cannot appear in the first 5 BIT vertices
