@@ -127,6 +127,23 @@ def _write_file(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
+def _class(name: str) -> catalog.StructClass:
+    klass = catalog.CLASSES.get(name)
+    if klass is None:
+        raise UsageError(f"unknown class {name!r}; "
+                         f"known: {', '.join(sorted(catalog.CLASSES))}")
+    return klass
+
+
+def _kind(name: str) -> str:
+    """The universe kind a command line names, dashes read as underscores."""
+    kind = name.replace("-", "_")
+    if kind not in universes.KINDS:
+        raise UsageError(f"unknown kind {name!r}; "
+                         f"known: {', '.join(k.replace('_', '-') for k in universes.KINDS)}")
+    return kind
+
+
 def _parse_set(text: str) -> metric.DistanceSet:
     try:
         return metric.DistanceSet.make(text.split(","))
@@ -183,10 +200,7 @@ def _check_max_size(args: argparse.Namespace) -> None:
 
 
 def _cmd_fraisse(args: argparse.Namespace, config: RunConfig) -> int:
-    klass = catalog.CLASSES.get(args.klass)
-    if klass is None:
-        raise UsageError(f"unknown class {args.klass!r}; "
-                         f"known: {', '.join(sorted(catalog.CLASSES))}")
+    klass = _class(args.klass)
     _check_max_size(args)
     if args.amalgam_bound is not None and args.amalgam_bound < 1:
         raise UsageError("--amalgam-bound must be >= 1")
@@ -247,9 +261,7 @@ def _cmd_diagram(args: argparse.Namespace, config: RunConfig) -> int:
         raise UsageError(f"diagram {args.infile} has no top objects")
     predicate = None
     if args.klass:
-        klass = catalog.CLASSES.get(args.klass)
-        if klass is None:
-            raise UsageError(f"unknown class {args.klass!r}")
+        klass = _class(args.klass)
         if klass.signature != diagram.top_objects[0].signature:
             raise UsageError(f"class {args.klass!r} does not share the "
                              "diagram's signature")
@@ -268,12 +280,8 @@ def _cmd_diagram(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _cmd_universe_gen(args: argparse.Namespace, config: RunConfig) -> int:
-    kind = args.kind.replace("-", "_")
-    if kind not in universes.KINDS:
-        raise UsageError(f"unknown kind {args.kind!r}; "
-                         f"known: {', '.join(k.replace('_', '-') for k in universes.KINDS)}")
     try:
-        segment = universes.generate(kind, args.n)
+        segment = universes.generate(_kind(args.kind), args.n)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     text = (structures.structure_to_dot(segment) if args.dot
@@ -286,12 +294,8 @@ def _cmd_universe_gen(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _cmd_universe_audit(args: argparse.Namespace, config: RunConfig) -> int:
-    kind = args.kind.replace("-", "_")
-    if kind not in universes.KINDS:
-        raise UsageError(f"unknown kind {args.kind!r}")
-    klass = catalog.CLASSES.get(args.klass)
-    if klass is None:
-        raise UsageError(f"unknown class {args.klass!r}")
+    kind = _kind(args.kind)
+    klass = _class(args.klass)
     _check_max_size(args)
     try:
         report = universes.check_universal(kind, klass, args.max_size, args.N)

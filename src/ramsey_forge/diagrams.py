@@ -5,15 +5,15 @@ arrows up.  Decorating the rows with structures and the arrows with
 embeddings gives a diagram; a commuting cocone is a tip structure with one
 leg per top vertex making every bottom span agree.
 
-Cocone tips are generated as the quotient of the disjoint union of the top
-objects by the identifications the bottom spans force, then completed by
-the relation completer of :mod:`catalog`, which enumerates relation choices
-on undetermined tuples.  An amalgam of ``B <-f- A -g-> C`` is the same
-construction over a one-span diagram, and joint embedding is amalgamation
-over the empty structure, so one pushout routine serves :func:`find_cocone`
-and :func:`amalgamate`.  Only forced quotients are tried: merging points
-beyond what the spans force is never attempted, so a search that finds
-nothing does not prove that no cocone or amalgam exists.
+One private engine, ``_forced_quotient``, builds every cocone tip and
+amalgam: the quotient of the disjoint union of the top objects by the
+identifications the bottom spans force (the pushout), completed by the
+relation completer of :mod:`catalog`, with one certified leg per top.
+:func:`find_cocone` and :func:`amalgamate` adapt it to their result types,
+and joint embedding is amalgamation over the empty structure.  Only forced
+quotients are tried: merging points beyond what the spans force is never
+attempted, so a search that finds nothing does not prove that no cocone or
+amalgam exists.
 """
 
 from __future__ import annotations
@@ -167,18 +167,26 @@ class CoconeSearch:
 
 
 # ---------------------------------------------------------------------------
-# pushout machinery (shared by cocone search and amalgamation)
+# the forced-quotient engine (shared by cocone search and amalgamation)
 
 
-def _pushout(tops: Sequence[FinStructure],
-             glue: Sequence[tuple[int, Sequence[int], int, Sequence[int]]]
-             ) -> tuple[int, list[tuple[int, ...]]] | None:
-    """Quotient of the disjoint union of ``tops`` by the glue entries.
+def _forced_quotient(tops: Sequence[FinStructure],
+                     glue: Sequence[tuple[int, Sequence[int], int, Sequence[int]]],
+                     bound: int | None,
+                     predicate: Callable[[FinStructure], bool] | None
+                     ) -> str | Iterator[tuple[FinStructure, tuple[Embedding, ...]]]:
+    """Completions of the quotient of the disjoint union of ``tops`` by the
+    glue, each with one certified leg per top, in the completer's order.
 
-    Each glue entry ``(i, u, j, v)`` says that point ``u[x]`` of top ``i``
-    is point ``v[x]`` of top ``j``.  Tip points are numbered in order of
-    first appearance, top by top.  Returns the tip size and one leg map per
-    top, or None when two points of one top would merge.
+    A glue entry ``(i, u, j, v)`` says that point ``u[x]`` of top ``i`` is
+    point ``v[x]`` of top ``j``; tip points are numbered in order of first
+    appearance, top by top.  Checked in this order, the result is
+    :data:`IMPOSSIBLE` when two points of one top merge,
+    :data:`NONE_WITHIN_BOUND` when the quotient has more than ``bound``
+    points, and :data:`IMPOSSIBLE` when a tuple of one top lands in another
+    top's image where that top says it is absent.  A tuple inside one top's
+    image is determined by that top; ``covers[p]`` is the bitmask of the
+    tops whose image contains tip point ``p``.
     """
     offsets = list(itertools.accumulate((s.size for s in tops), initial=0))
     roots = _least_members(offsets[-1], ((offsets[i] + p, offsets[j] + q)
@@ -190,22 +198,11 @@ def _pushout(tops: Sequence[FinStructure],
         leg = tuple(number.setdefault(roots[offsets[ti] + v], len(number))
                     for v in range(s.size))
         if len(set(leg)) != s.size:
-            return None
+            return IMPOSSIBLE
         legs.append(leg)
-    return len(number), legs
-
-
-def _forced_relations(tops: Sequence[FinStructure],
-                      legs: Sequence[tuple[int, ...]], size: int
-                      ) -> tuple[list[set[tuple[int, ...]]], list[int]] | None:
-    """Relation values the legs force on a tip of ``size`` points.
-
-    A tuple whose points all lie in one top's image is determined by that
-    top.  Returns the forced positive tuples per relation and, per tip
-    point, a bitmask of the tops whose image contains it; None when a tuple
-    from one top lands in another top's image where that top says it is
-    absent.
-    """
+    size = len(number)
+    if bound is not None and size > bound:
+        return NONE_WITHIN_BOUND
     covers = [0] * size
     for ti, leg in enumerate(legs):
         for p in leg:
@@ -224,9 +221,17 @@ def _forced_relations(tops: Sequence[FinStructure],
                 for tj, inv in enumerate(inverses):
                     if (inside >> tj & 1 and tuple(inv[p] for p in image)
                             not in tops[tj].relations[ri]):
-                        return None
+                        return IMPOSSIBLE
         base.append(forced)
-    return base, covers
+    # the legs commute on the glue, and the points in two tops' images are
+    # the glued ones, so every amalgam found is a strong one
+    assert all(legs[i][p] == legs[j][q]
+               for i, u, j, v in glue for p, q in zip(u, v))
+    assert ({p for p, m in enumerate(covers) if m & (m - 1)}
+            == {legs[i][p] for i, u, j, _ in glue if i != j for p in u})
+    return ((tip, tuple([Embedding(s, tip, m) for s, m in zip(tops, legs)]))
+            for tip in _complete_structures(tops[0].signature, size, base,
+                                            covers, predicate))
 
 
 def find_cocone(diagram: StructDiagram, max_tip_size: int,
@@ -234,44 +239,27 @@ def find_cocone(diagram: StructDiagram, max_tip_size: int,
                 ) -> CoconeSearch:
     """Search for a commuting cocone on the forced quotient.
 
-    The tip point set is the quotient of the disjoint union of top objects
-    by the identifications forced by the bottom spans; candidates differ
-    only in the relations chosen on tuples no top object determines.  Only
-    this forced quotient is tried: a cocone that identifies further points
-    is never found, so ``exhausted`` and ``none-within-bound`` do not prove
-    that no cocone exists.  (Two copies of K2 glued at a point, with
-    ``max_tip_size`` 2, give ``none-within-bound``, yet identity legs into
-    K2 commute.)  Two outcomes are proofs: a forced merge inside one top
-    object, or contradictory forced relations, make a cocone impossible
-    outright.
+    A thin adapter onto the engine that :func:`amalgamate` shares: candidate
+    tips differ only in the relations chosen on tuples no top object
+    determines.  A cocone that identifies further points is never found, so
+    ``exhausted`` and ``none-within-bound`` do not prove that no cocone
+    exists.  (Two copies of K2 glued at a point, with ``max_tip_size`` 2,
+    give ``none-within-bound``, yet identity legs into K2 commute.)  Two
+    outcomes are proofs: a forced merge inside one top object, or
+    contradictory forced relations, make a cocone impossible outright.
     """
     shape = diagram.shape
-    tops = diagram.top_objects
     if shape.n_top == 0:
         raise ValueError("diagram has no top objects")
-
-    glue = []
-    for b in range(shape.n_bottom):
-        a1, a2 = shape.arrows_of(b)
-        glue.append((shape.arrows[a1][1], diagram.arrow_maps[a1].map,
-                     shape.arrows[a2][1], diagram.arrow_maps[a2].map))
-    pushout = _pushout(tops, glue)
-    if pushout is None:
-        return CoconeSearch(IMPOSSIBLE)
-    q, legs_maps = pushout
-    if q > max_tip_size:
-        return CoconeSearch(NONE_WITHIN_BOUND)
-    forced = _forced_relations(tops, legs_maps, q)
-    if forced is None:
-        return CoconeSearch(IMPOSSIBLE)
-
-    for tip in _complete_structures(tops[0].signature, q, *forced,
-                                    class_predicate):
-        legs = tuple(Embedding(s, tip, legs_maps[ti])
-                     for ti, s in enumerate(tops))
-        cocone = Cocone(tip, legs)
-        assert check_commutes(diagram, cocone)
-        return CoconeSearch(FOUND, cocone)
+    glue = [(shape.arrows[a1][1], diagram.arrow_maps[a1].map,
+             shape.arrows[a2][1], diagram.arrow_maps[a2].map)
+            for a1, a2 in map(shape.arrows_of, range(shape.n_bottom))]
+    quotient = _forced_quotient(diagram.top_objects, glue, max_tip_size,
+                                class_predicate)
+    if isinstance(quotient, str):
+        return CoconeSearch(quotient)
+    for tip, legs in quotient:
+        return CoconeSearch(FOUND, Cocone(tip, legs))
     return CoconeSearch(EXHAUSTED)
 
 
@@ -292,6 +280,16 @@ class AmalgamSearch:
     result: Amalgam | None = None
 
 
+def _span_quotient(a: FinStructure, b: FinStructure, c: FinStructure,
+                   f: Embedding, g: Embedding, bound: int | None,
+                   predicate: Callable[[FinStructure], bool] | None
+                   ) -> str | Iterator[tuple[FinStructure, tuple[Embedding, ...]]]:
+    """The engine on the span ``B <-f- A -g-> C``, glued along A."""
+    if f.source != a or g.source != a or f.target != b or g.target != c:
+        raise StructureError("amalgamate: span embeddings do not match A, B, C")
+    return _forced_quotient((b, c), [(0, f.map, 1, g.map)], bound, predicate)
+
+
 def enumerate_amalgams(a: FinStructure, b: FinStructure, c: FinStructure,
                        f: Embedding, g: Embedding,
                        predicate: Callable[[FinStructure], bool] | None = None
@@ -306,33 +304,25 @@ def enumerate_amalgams(a: FinStructure, b: FinStructure, c: FinStructure,
     amalgam are certified embeddings when they are built, so a completion
     that is not an amalgam raises :class:`StructureError`.
     """
-    if f.source != a or g.source != a or f.target != b or g.target != c:
-        raise StructureError("amalgamate: span embeddings do not match A, B, C")
-    # f and g are injective, so no point of B or C merges with another
-    size, (b_to_d, c_map) = _pushout((b, c), [(0, f.map, 1, g.map)])
-    forced = _forced_relations((b, c), (b_to_d, c_map), size)
-    if forced is None:
-        return  # f and g disagree on the shared part; no amalgam
-
-    for d in _complete_structures(b.signature, size, *forced, predicate):
-        fp, gp = Embedding(b, d, b_to_d), Embedding(c, d, c_map)
-        assert tuple(fp.map[v] for v in f.map) == tuple(gp.map[v] for v in g.map)
-        overlap = set(fp.map) & set(gp.map)
-        shared = {fp.map[f.map[v]] for v in range(a.size)}
-        assert overlap == shared  # strong condition holds for every pushout
-        yield Amalgam(d, fp, gp)
+    # without a bound, a span of embeddings never gets a status
+    for d, (into_b, into_c) in _span_quotient(a, b, c, f, g, None, predicate):
+        yield Amalgam(d, into_b, into_c)
 
 
 def amalgamate(a: FinStructure, b: FinStructure, c: FinStructure,
                f: Embedding, g: Embedding, bound: int | None = None,
                predicate: Callable[[FinStructure], bool] | None = None
                ) -> AmalgamSearch:
-    """First amalgam of the span, or a status explaining the failure."""
-    size = b.size + c.size - a.size
-    if bound is not None and size > bound:
-        return AmalgamSearch(NONE_WITHIN_BOUND)
-    for amalgam in enumerate_amalgams(a, b, c, f, g, predicate):
-        return AmalgamSearch(FOUND, amalgam)
+    """First amalgam the engine finds, or why there is none.
+
+    ``none-within-bound`` means that the pushout's ``|B| + |C| - |A|``
+    points exceed ``bound``; a span of embeddings is never ``impossible``.
+    """
+    quotient = _span_quotient(a, b, c, f, g, bound, predicate)
+    if isinstance(quotient, str):
+        return AmalgamSearch(quotient)
+    for d, (into_b, into_c) in quotient:
+        return AmalgamSearch(FOUND, Amalgam(d, into_b, into_c))
     return AmalgamSearch(EXHAUSTED)
 
 

@@ -93,19 +93,24 @@ def _validate_tag(name: str, tag: str, size: int, tuples: frozenset[tuple[int, .
             if (y, x) in tuples:
                 raise StructureError(f"{name}: both {t} and {(y, x)} present")
     elif tag == TAG_LINEAR:
-        for x in range(size):
-            if (x, x) in tuples:
-                raise StructureError(f"{name}: loop ({x},{x}) in linear order")
-            for y in range(size):
-                if x == y:
-                    continue
-                fwd, bwd = (x, y) in tuples, (y, x) in tuples
-                if fwd == bwd:
-                    raise StructureError(f"{name}: not a strict total order at ({x},{y})")
+        below = [0] * size
         for x, y in tuples:
-            for z in range(size):
-                if (y, z) in tuples and (x, z) not in tuples:
-                    raise StructureError(f"{name}: order not transitive at ({x},{y},{z})")
+            if x == y:
+                raise StructureError(f"{name}: loop ({x},{x}) in linear order")
+            if (y, x) in tuples:
+                raise StructureError(f"{name}: not a strict total order at ({x},{y})")
+            below[y] += 1
+        if len(tuples) != size * (size - 1) // 2:
+            x, y = next(p for p in itertools.combinations(range(size), 2)
+                        if p not in tuples and p[::-1] not in tuples)
+            raise StructureError(f"{name}: not a strict total order at ({x},{y})")
+        # a tournament is transitive iff its in-degrees are 0, ..., size-1;
+        # else some u -> v have equal in-degree, and v beats a w u does not
+        if sorted(below) != list(range(size)):
+            u, v = next((u, v) for u, v in tuples if below[u] == below[v])
+            w = next(w for w in range(size)
+                     if (v, w) in tuples and (u, w) not in tuples)
+            raise StructureError(f"{name}: order not transitive at ({u},{v},{w})")
 
 
 @dataclass(frozen=True)

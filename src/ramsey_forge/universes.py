@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .catalog import (
     GRAPH_SIG,
@@ -76,7 +75,6 @@ def _subset_requests():
         m += 1
 
 
-@lru_cache(maxsize=None)
 def _henson_edges(n: int) -> frozenset[tuple[int, int]]:
     """Edge set of the greedy triangle-free universal segment on n vertices.
 

@@ -166,6 +166,23 @@ class TestDiagramCommand:
                                  "--max-tip", "2"])
         assert code == EXIT_UNDECIDED
 
+    def test_contradiction_exits_one_with_the_report(self, capsys, tmp_path):
+        # an edge of one P3 glued onto a non-edge of the other
+        a, b = catalog.complete_graph(1), catalog.path_graph(3)
+        doc = {
+            "shape": {"top": 2, "bottom": 2,
+                      "arrows": [[0, 0], [0, 1], [1, 0], [1, 1]]},
+            "top_objects": [structures.structure_to_dict(b)] * 2,
+            "bottom_objects": [structures.structure_to_dict(a)] * 2,
+            "arrow_maps": [[0], [0], [1], [2]],
+        }
+        path = tmp_path / "diagram.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, ["diagram", "cocone", "--in", str(path),
+                                 "--max-tip", "8"])
+        assert code == EXIT_FAIL
+        assert json.loads(out) == {"check": "cocone", "status": "impossible"}
+
 
 class TestUniverseCommand:
     def test_gen_rado_4(self, capsys):
@@ -492,6 +509,27 @@ class TestBadInputIsUsageError:
         self.usage_error(capsys, ["diagram", "cocone", "--in",
                                   self.diagram_file(tmp_path, []),
                                   "--max-tip", "4"])
+
+    @pytest.mark.parametrize("argv, known", [
+        (["fraisse", "check", "--class", "widgets", "--property", "AP",
+          "--max-size", "3"], "graphs"),
+        (["diagram", "cocone", "--max-tip", "4", "--class", "widgets"],
+         "graphs"),
+        (["universe", "audit", "--kind", "rado", "--class", "widgets",
+          "--max-size", "2", "-N", "4"], "graphs"),
+        (["universe", "audit", "--kind", "widgets", "--class", "graphs",
+          "--max-size", "2", "-N", "4"], "acyclic-universal"),
+        (["universe", "gen", "--kind", "widgets", "-n", "4"],
+         "acyclic-universal"),
+    ], ids=["fraisse-class", "cocone-class", "audit-class", "audit-kind",
+            "gen-kind"])
+    def test_unknown_name_lists_the_known_ones(self, capsys, tmp_path, argv,
+                                               known):
+        if argv[0] == "diagram":
+            argv = argv + ["--in", self.diagram_file(
+                tmp_path, [catalog.complete_graph(2)])]
+        err = self.usage_error(capsys, argv)
+        assert "'widgets'; known: " in err and known in err
 
     def test_diagram_class_of_another_signature(self, capsys, tmp_path):
         path = self.diagram_file(tmp_path, [catalog.complete_graph(2)] * 2)

@@ -125,6 +125,15 @@ class TestFindCocone:
     def test_bound_too_small(self):
         assert find_cocone(chain_span_diagram(), 2).status == NONE_WITHIN_BOUND
 
+    def test_contradictory_forced_relations_are_impossible(self):
+        # points 0 and 1 of one P3 are glued to the non-adjacent 0 and 2 of
+        # the other, so the glue carries an edge onto a non-edge
+        d = ab_diagram(catalog.complete_graph(1), catalog.path_graph(3),
+                       [((0,), (0,), 0, 1), ((1,), (2,), 0, 1)], 2)
+        assert find_cocone(d, 8).status == IMPOSSIBLE
+        # the quotient has 4 points: the bound is checked before relations
+        assert find_cocone(d, 3).status == NONE_WITHIN_BOUND
+
     def test_objects_of_two_signatures_are_rejected(self):
         with pytest.raises(SignatureMismatchError):
             StructDiagram(BinaryDigraph(2, 0, ()),

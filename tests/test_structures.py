@@ -336,6 +336,34 @@ class TestValidation:
         with pytest.raises(StructureError):
             FinStructure.build(catalog.CHAIN_SIG, 3, {"lt": [(0, 1)]})
 
+    @pytest.mark.parametrize("n", range(6))
+    def test_linear_order_check_matches_the_definition(self, n):
+        """Every orientation of K_n is accepted exactly when it is
+        transitive, and a rejected one names a violated triple."""
+        pairs = list(itertools.combinations(range(n), 2))
+        for flips in itertools.product((False, True), repeat=len(pairs)):
+            lt = {(y, x) if flip else (x, y)
+                  for (x, y), flip in zip(pairs, flips)}
+            transitive = all((x, z) in lt for x, y in lt for z in range(n)
+                             if (y, z) in lt)
+            try:
+                FinStructure.build(catalog.CHAIN_SIG, n, {"lt": lt})
+            except StructureError as exc:
+                assert not transitive
+                u, v, w = map(int, str(exc).rsplit("(", 1)[1].rstrip(")").split(","))
+                assert (u, v) in lt and (v, w) in lt and (u, w) not in lt
+            else:
+                assert transitive
+
+    @pytest.mark.parametrize("lt", [
+        [(0, 1), (1, 2), (0, 2), (1, 1)],
+        [(0, 1), (1, 2)],
+        [(0, 1), (1, 2), (0, 2), (2, 0)],
+    ], ids=["loop", "missing-pair", "both-directions"])
+    def test_linear_order_rejects_non_tournaments(self, lt):
+        with pytest.raises(StructureError):
+            FinStructure.build(catalog.CHAIN_SIG, 3, {"lt": lt})
+
     def test_oriented_tag_rejects_two_cycles(self):
         with pytest.raises(StructureError):
             catalog.oriented_graph(2, [(0, 1), (1, 0)])
