@@ -1,8 +1,8 @@
 """Builders for common finite structures and enumerable structure classes.
 
-A :class:`StructClass` packages a signature, a membership predicate and an
-iso-class generator; the amalgamation-property checkers and universality
-audits quantify over these.
+A :class:`StructClass` packages a signature, a membership predicate, an
+iso-class generator and the options its members' open slots can take; the
+amalgamation-property checkers and universality audits quantify over these.
 
 This module also holds the one relation completer, which fills every open
 slot of a partly fixed structure with each of its options in turn.  Class
@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .structures import (
@@ -186,6 +187,16 @@ def _slot_options(tag: str, x: int, y: int) -> list[tuple[tuple[int, ...], ...]]
     return [(), ((x, y),), ((y, x),), ((x, y), (y, x))]
 
 
+def _tournament_options(tag: str, x: int, y: int) -> list[tuple[tuple[int, ...], ...]]:
+    """A tournament has an arc on every pair."""
+    return _slot_options(tag, x, y)[1:]
+
+
+def _poset_options(tag: str, x: int, y: int) -> list[tuple[tuple[int, ...], ...]]:
+    """A strict order has no two-way pair."""
+    return _slot_options(TAG_ORIENTED, x, y)
+
+
 def _complete_structures(signature: Signature, size: int,
                          base: list[set[tuple[int, ...]]], covers: list[int],
                          predicate: Callable[[FinStructure], bool] | None,
@@ -199,6 +210,14 @@ def _complete_structures(signature: Signature, size: int,
     slot ``x < y`` takes one of ``options(tag, x, y)``, and the slots are
     enumerated as one product, relation by relation and pair by pair, with
     each slot's first option first.
+
+    Candidates are built without validation: the caller guarantees that
+    the tuples of ``base`` on the points of one part are a valid structure
+    and that they agree wherever two parts meet, and every option is valid
+    for its tag on its own, so each pair of points carries valid tuples.
+    Transitivity is the one condition on three points.  So when the
+    signature has a linear order and no part covers every point, each
+    candidate is validated, and an intransitive one is skipped.
     """
     slot_axes: list[tuple[int, list[tuple[tuple[int, ...], ...]]]] = []
     for ri, spec in enumerate(signature.relations):
@@ -214,16 +233,21 @@ def _complete_structures(signature: Signature, size: int,
                     mask &= covers[p]
                 if not mask:
                     slot_axes.append((ri, [(), (t,)]))
+    trusted = (reduce(and_, covers, -1) != 0
+               or all(spec.tag != TAG_LINEAR for spec in signature.relations))
 
     for choice in itertools.product(*(opts for _, opts in slot_axes)):
         rels = [set(b) for b in base]
         for (ri, _), picked in zip(slot_axes, choice):
             rels[ri].update(picked)
-        try:
-            candidate = FinStructure(signature, size,
-                                     tuple(frozenset(r) for r in rels))
-        except StructureError:
-            continue
+        relations = tuple(frozenset(r) for r in rels)
+        if trusted:
+            candidate = FinStructure(signature, size, relations, _checked=True)
+        else:
+            try:
+                candidate = FinStructure(signature, size, relations)
+            except StructureError:
+                continue
         if predicate is not None and not predicate(candidate):
             continue
         yield candidate
@@ -251,6 +275,9 @@ class StructClass:
     signature: Signature
     predicate: Callable[[FinStructure], bool]
     _generate: Callable[[int], tuple[FinStructure, ...]]
+    # the tuple sets an open slot of a member can carry, as
+    # ``options(tag, x, y)``; closed under swapping x and y
+    options: Callable[[str, int, int], list] = _slot_options
 
     def members(self, n: int) -> tuple[FinStructure, ...]:
         """Iso-class representatives with exactly ``n`` elements."""
@@ -268,32 +295,29 @@ class StructClass:
 
 @lru_cache(maxsize=None)
 def _gen(name: str, n: int) -> tuple[FinStructure, ...]:
+    klass = CLASSES[name]
     if name == "chains":
         return (chain(n),)
-    if name == "graphs":
-        return _completions(GRAPH_SIG, n)
+    if name in ("graphs", "oriented-graphs", "tournaments"):
+        # the tournaments' options drop the empty one, so their members and
+        # the members' order are those of the oriented members that are
+        # tournaments
+        return _completions(klass.signature, n, options=klass.options)
     if name == "triangle-free":
         return tuple(s for s in _gen("graphs", n) if is_triangle_free(s))
-    if name == "oriented-graphs":
-        return _completions(ORIENTED_SIG, n)
-    if name == "tournaments":
-        # the orientations with no empty pair come in the order they hold
-        # among all oriented graphs, so members and their order are those
-        # of the oriented members that are tournaments
-        return _completions(ORIENTED_SIG, n, options=lambda tag, x, y:
-                            _slot_options(tag, x, y)[1:])
     if name == "dags":
         return tuple(s for s in _gen("oriented-graphs", n) if is_acyclic(s))
     if name == "posets":
-        return _completions(POSET_SIG, n, is_poset, lambda _, x, y:
-                            _slot_options(TAG_ORIENTED, x, y))
+        return _completions(klass.signature, n, is_poset, klass.options)
     if name == "permutations":
         return tuple(permutation_structure(p)
                      for p in itertools.permutations(range(n)))
     if name == "linearly-ordered-posets":
         # omega is the natural order and po may only agree with it; a
         # linear order makes every structure rigid, so these naturally
-        # labelled completions are already one per iso class
+        # labelled completions are already one per iso class.  These
+        # options are not closed under swapping a slot's points, so they
+        # are not the class's
         return _completions(LOPOSET_SIG, n, is_linearly_ordered_poset,
                             lambda tag, x, y: [((x, y),)] if tag == TAG_LINEAR
                             else [(), ((x, y),)])
@@ -312,9 +336,10 @@ CLASSES: dict[str, StructClass] = {
     "oriented-graphs": StructClass("oriented-graphs", ORIENTED_SIG, always,
                                    _maker("oriented-graphs")),
     "tournaments": StructClass("tournaments", ORIENTED_SIG, is_tournament,
-                               _maker("tournaments")),
+                               _maker("tournaments"), _tournament_options),
     "dags": StructClass("dags", ORIENTED_SIG, is_acyclic, _maker("dags")),
-    "posets": StructClass("posets", POSET_SIG, is_poset, _maker("posets")),
+    "posets": StructClass("posets", POSET_SIG, is_poset, _maker("posets"),
+                          _poset_options),
     "permutations": StructClass("permutations", PERM_SIG, always,
                                 _maker("permutations")),
     "linearly-ordered-posets": StructClass(

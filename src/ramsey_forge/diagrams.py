@@ -8,7 +8,11 @@ leg per top vertex making every bottom span agree.
 One private engine, ``_forced_quotient``, builds every cocone tip and
 amalgam: the quotient of the disjoint union of the top objects by the
 identifications the bottom spans force (the pushout), completed by the
-relation completer of :mod:`catalog`, with one certified leg per top.
+relation completer of :mod:`catalog`, with one certified leg per top.  The
+completer builds its candidates without validating them, and the engine
+certifies the legs without an embedding test: once per quotient, that the
+forced tuples agree with every top, and once per completion, that the tip
+keeps the forced tuples and adds none inside one top's image.
 :func:`find_cocone` and :func:`amalgamate` adapt it to their result types,
 and joint embedding is amalgamation over the empty structure.  Only forced
 quotients are tried: merging points beyond what the spans force is never
@@ -26,6 +30,7 @@ from .catalog import (
     I_STAR,
     StructClass,
     _complete_structures,
+    _slot_options,
     is_linearly_ordered_poset,
 )
 from .structures import (
@@ -173,7 +178,8 @@ class CoconeSearch:
 def _forced_quotient(tops: Sequence[FinStructure],
                      glue: Sequence[tuple[int, Sequence[int], int, Sequence[int]]],
                      bound: int | None,
-                     predicate: Callable[[FinStructure], bool] | None
+                     predicate: Callable[[FinStructure], bool] | None,
+                     options: Callable[[str, int, int], list] = _slot_options
                      ) -> str | Iterator[tuple[FinStructure, tuple[Embedding, ...]]]:
     """Completions of the quotient of the disjoint union of ``tops`` by the
     glue, each with one certified leg per top, in the completer's order.
@@ -186,7 +192,16 @@ def _forced_quotient(tops: Sequence[FinStructure],
     points, and :data:`IMPOSSIBLE` when a tuple of one top lands in another
     top's image where that top says it is absent.  A tuple inside one top's
     image is determined by that top; ``covers[p]`` is the bitmask of the
-    tops whose image contains tip point ``p``.
+    tops whose image contains tip point ``p``.  Open slots take
+    ``options(tag, x, y)``.
+
+    The legs are certified in two steps instead of one embedding test per
+    leg.  Once per quotient: the forced tuples agree with every top on its
+    image; only a tuple whose points are all glued can lie in two tops'
+    images, so only those are looked up.  Once per completion: the tip
+    keeps every forced tuple and adds none inside one top's image.  Each
+    leg is injective, so it then preserves and reflects every relation,
+    and a completion that fails raises :class:`StructureError`.
     """
     offsets = list(itertools.accumulate((s.size for s in tops), initial=0))
     roots = _least_members(offsets[-1], ((offsets[i] + p, offsets[j] + q)
@@ -210,14 +225,13 @@ def _forced_quotient(tops: Sequence[FinStructure],
     inverses = [{p: v for v, p in enumerate(leg)} for leg in legs]
     base: list[set[tuple[int, ...]]] = []
     for ri in range(len(tops[0].relations)):
-        forced: set[tuple[int, ...]] = set()
-        for ti, (s, leg) in enumerate(zip(tops, legs)):
-            for t in s.relations[ri]:
-                image = tuple(leg[v] for v in t)
-                forced.add(image)
-                inside = ~(1 << ti)
-                for p in image:
-                    inside &= covers[p]
+        forced = {tuple(leg[v] for v in t)
+                  for s, leg in zip(tops, legs) for t in s.relations[ri]}
+        for image in forced:
+            inside = -1
+            for p in image:
+                inside &= covers[p]
+            if inside & (inside - 1):
                 for tj, inv in enumerate(inverses):
                     if (inside >> tj & 1 and tuple(inv[p] for p in image)
                             not in tops[tj].relations[ri]):
@@ -229,9 +243,27 @@ def _forced_quotient(tops: Sequence[FinStructure],
                for i, u, j, v in glue for p, q in zip(u, v))
     assert ({p for p, m in enumerate(covers) if m & (m - 1)}
             == {legs[i][p] for i, u, j, _ in glue if i != j for p in u})
-    return ((tip, tuple([Embedding(s, tip, m) for s, m in zip(tops, legs)]))
-            for tip in _complete_structures(tops[0].signature, size, base,
-                                            covers, predicate))
+    signature = tops[0].signature
+
+    def certified() -> Iterator[tuple[FinStructure, tuple[Embedding, ...]]]:
+        for tip in _complete_structures(signature, size, base, covers,
+                                        predicate, options):
+            if tip.signature != signature or tip.size != size:
+                raise StructureError(f"completion {tip!r} is not on the quotient")
+            for forced, tuples in zip(base, tip.relations):
+                if not forced <= tuples:
+                    raise StructureError(f"completion {tip!r} drops a forced tuple")
+                for t in tuples - forced:
+                    inside = -1
+                    for p in t:
+                        inside &= covers[p]
+                    if inside:
+                        raise StructureError(
+                            f"completion {tip!r} adds {t} inside a top's image")
+            yield tip, tuple([Embedding(s, tip, m, _checked=True)
+                              for s, m in zip(tops, legs)])
+
+    return certified()
 
 
 def find_cocone(diagram: StructDiagram, max_tip_size: int,
@@ -282,12 +314,14 @@ class AmalgamSearch:
 
 def _span_quotient(a: FinStructure, b: FinStructure, c: FinStructure,
                    f: Embedding, g: Embedding, bound: int | None,
-                   predicate: Callable[[FinStructure], bool] | None
+                   predicate: Callable[[FinStructure], bool] | None,
+                   options: Callable[[str, int, int], list] = _slot_options
                    ) -> str | Iterator[tuple[FinStructure, tuple[Embedding, ...]]]:
     """The engine on the span ``B <-f- A -g-> C``, glued along A."""
     if f.source != a or g.source != a or f.target != b or g.target != c:
         raise StructureError("amalgamate: span embeddings do not match A, B, C")
-    return _forced_quotient((b, c), [(0, f.map, 1, g.map)], bound, predicate)
+    return _forced_quotient((b, c), [(0, f.map, 1, g.map)], bound, predicate,
+                            options)
 
 
 def enumerate_amalgams(a: FinStructure, b: FinStructure, c: FinStructure,
@@ -301,8 +335,8 @@ def enumerate_amalgams(a: FinStructure, b: FinStructure, c: FinStructure,
     images is exactly the image of A and every amalgam produced here is a
     strong one.  Relation choices on mixed tuples are enumerated with the
     free superposition (no cross relations) first.  The maps into each
-    amalgam are certified embeddings when they are built, so a completion
-    that is not an amalgam raises :class:`StructureError`.
+    amalgam are certified embeddings, so a completion that is not an
+    amalgam raises :class:`StructureError`.
     """
     # without a bound, a span of embeddings never gets a status
     for d, (into_b, into_c) in _span_quotient(a, b, c, f, g, None, predicate):
@@ -311,14 +345,18 @@ def enumerate_amalgams(a: FinStructure, b: FinStructure, c: FinStructure,
 
 def amalgamate(a: FinStructure, b: FinStructure, c: FinStructure,
                f: Embedding, g: Embedding, bound: int | None = None,
-               predicate: Callable[[FinStructure], bool] | None = None
+               predicate: Callable[[FinStructure], bool] | None = None,
+               options: Callable[[str, int, int], list] = _slot_options
                ) -> AmalgamSearch:
     """First amalgam the engine finds, or why there is none.
 
     ``none-within-bound`` means that the pushout's ``|B| + |C| - |A|``
     points exceed ``bound``; a span of embeddings is never ``impossible``.
+    ``options`` are the tuple sets an open slot may take (a class's
+    :attr:`~catalog.StructClass.options`); they must include every choice
+    ``predicate`` accepts, or amalgams are missed.
     """
-    quotient = _span_quotient(a, b, c, f, g, bound, predicate)
+    quotient = _span_quotient(a, b, c, f, g, bound, predicate, options)
     if isinstance(quotient, str):
         return AmalgamSearch(quotient)
     for d, (into_b, into_c) in quotient:
@@ -367,7 +405,8 @@ def _orbit_representatives(x: FinStructure, y: FinStructure) -> tuple[Embedding,
 
 def _empty_structure(signature: Signature) -> FinStructure:
     return FinStructure(signature, 0,
-                        tuple(frozenset() for _ in signature.relations))
+                        tuple(frozenset() for _ in signature.relations),
+                        _checked=True)
 
 
 def check_class_property(property_name: str, klass: StructClass, max_size: int,
@@ -389,8 +428,9 @@ def check_class_property(property_name: str, klass: StructClass, max_size: int,
     as ``(bi, ci)``.  Every instance is counted, but one whose mirror
     ``C <-g- A -f-> B`` was visited earlier is not searched again: the loop
     did not stop there, so the mirror amalgamated or was out of bound, and
-    both outcomes carry over.  Swapping B and C relabels the pushout and
-    its completions, each slot's options are closed under that relabelling,
+    both outcomes carry over.  Open slots take the class's options.
+    Swapping B and C relabels the pushout and its completions, each slot's
+    options are closed under that relabelling,
     class predicates are isomorphism-invariant, and the bound depends only
     on ``|B| + |C| - |A|``.  So the first counterexample, the count and the
     undecided instances are those of searching every instance.
@@ -434,7 +474,8 @@ def check_class_property(property_name: str, klass: StructClass, max_size: int,
                             status = NONE_WITHIN_BOUND if size > bound else FOUND
                         else:
                             status = amalgamate(x, yb, yc, f, g, bound=bound,
-                                                predicate=klass.predicate).status
+                                                predicate=klass.predicate,
+                                                options=klass.options).status
                         if status == FOUND:
                             continue
                         instance = ((bi, ci) if property_name == "JEP"

@@ -115,13 +115,22 @@ def _validate_tag(name: str, tag: str, size: int, tuples: frozenset[tuple[int, .
 
 @dataclass(frozen=True)
 class FinStructure:
-    """A finite relational structure over domain ``{0, ..., size-1}``."""
+    """A finite relational structure over domain ``{0, ..., size-1}``.
+
+    Construction validates the tuples against the signature and the tags.
+    The package's own builders, whose output is valid by construction, pass
+    ``_checked=True`` to skip that; input from outside always comes through
+    a validating construction.
+    """
 
     signature: Signature
     size: int
     relations: tuple[frozenset[tuple[int, ...]], ...]  # aligned with signature.relations
+    _checked: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self._checked:
+            return
         if self.size < 0:
             raise StructureError("size must be nonnegative")
         if len(self.relations) != len(self.signature.relations):
@@ -435,7 +444,7 @@ def restriction(a: FinStructure, subset: Iterable[int]) -> FinStructure:
                   if all(v in keep for v in t))
         for tuples in a.relations
     )
-    return FinStructure(a.signature, len(points), rels)
+    return FinStructure(a.signature, len(points), rels, _checked=True)
 
 
 def inclusion_of_restriction(a: FinStructure, subset: Iterable[int]) -> Embedding:
@@ -450,7 +459,7 @@ def reduct(a: FinStructure, names: Sequence[str]) -> FinStructure:
     if len(keep) != len(set(names)):
         raise StructureError(f"reduct: relations {sorted(set(names) - set(keep))} absent")
     sig = Signature(tuple(a.signature.spec(n) for n in keep))
-    return FinStructure(sig, a.size, tuple(a.rel(n) for n in keep))
+    return FinStructure(sig, a.size, tuple(a.rel(n) for n in keep), _checked=True)
 
 
 def are_isomorphic(a: FinStructure, b: FinStructure) -> tuple[bool, Embedding | None]:

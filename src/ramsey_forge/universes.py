@@ -41,24 +41,22 @@ def _bit_edge(i: int, j: int) -> bool:
 
 
 def rado(n: int) -> FinStructure:
-    edges = [(i, j) for i in range(n) for j in range(n)
-             if i != j and _bit_edge(i, j)]
-    return FinStructure.build(GRAPH_SIG, n, {"E": edges})
+    edges = frozenset((i, j) for i in range(n) for j in range(n)
+                      if i != j and _bit_edge(i, j))
+    return FinStructure(GRAPH_SIG, n, (edges,), _checked=True)
 
 
 def ordered_rado(n: int) -> FinStructure:
     """The BIT graph with its natural order distinguished."""
-    base = rado(n)
-    return FinStructure.build(ORDERED_GRAPH_SIG, n, {
-        "E": base.rel("E"),
-        "omega": linear_order_pairs(range(n)),
-    })
+    return FinStructure(ORDERED_GRAPH_SIG, n, (
+        rado(n).rel("E"), frozenset(linear_order_pairs(range(n)))), _checked=True)
 
 
 def acyclic_universal(n: int) -> FinStructure:
     """Orient the BIT graph's edges upward along the natural order."""
-    arcs = [(i, j) for i in range(n) for j in range(i + 1, n) if _bit_edge(i, j)]
-    return FinStructure.build(ORIENTED_SIG, n, {"arc": arcs})
+    arcs = frozenset((i, j) for i in range(n) for j in range(i + 1, n)
+                     if _bit_edge(i, j))
+    return FinStructure(ORIENTED_SIG, n, (arcs,), _checked=True)
 
 
 def _subset_requests():
@@ -103,12 +101,12 @@ def _henson_edges(n: int) -> frozenset[tuple[int, int]]:
 
 
 def henson3(n: int) -> FinStructure:
-    return FinStructure(GRAPH_SIG, n, (_henson_edges(n),))
+    return FinStructure(GRAPH_SIG, n, (_henson_edges(n),), _checked=True)
 
 
 def acyclic_triangle_free(n: int) -> FinStructure:
-    arcs = [(i, j) for i, j in _henson_edges(n) if i < j]
-    return FinStructure.build(ORIENTED_SIG, n, {"arc": arcs})
+    arcs = frozenset((i, j) for i, j in _henson_edges(n) if i < j)
+    return FinStructure(ORIENTED_SIG, n, (arcs,), _checked=True)
 
 
 def _rational_points(n: int) -> list[Fraction]:
@@ -132,12 +130,10 @@ def rational_point(i: int) -> Fraction:
 def rational_chain(n: int) -> FinStructure:
     """A permutation: the rational order against the enumeration order."""
     points = _rational_points(n)
-    lt = [(i, j) for i in range(n) for j in range(n)
-          if i != j and points[i] < points[j]]
-    return FinStructure.build(PERM_SIG, n, {
-        "lt": lt,
-        "omega": linear_order_pairs(range(n)),
-    })
+    lt = frozenset((i, j) for i in range(n) for j in range(n)
+                   if i != j and points[i] < points[j])
+    return FinStructure(PERM_SIG, n, (
+        lt, frozenset(linear_order_pairs(range(n)))), _checked=True)
 
 
 def permutational_poset(n: int) -> FinStructure:
@@ -145,12 +141,10 @@ def permutational_poset(n: int) -> FinStructure:
     the enumeration order.  Free of the three-point obstruction by
     construction (certified below)."""
     points = _rational_points(n)
-    po = [(i, j) for i in range(n) for j in range(i + 1, n)
-          if points[i] < points[j]]
-    result = FinStructure.build(LOPOSET_SIG, n, {
-        "po": po,
-        "omega": linear_order_pairs(range(n)),
-    })
+    po = frozenset((i, j) for i in range(n) for j in range(i + 1, n)
+                   if points[i] < points[j])
+    result = FinStructure(LOPOSET_SIG, n, (
+        po, frozenset(linear_order_pairs(range(n)))), _checked=True)
     from .diagrams import embeds_I_star
     if embeds_I_star(result):
         raise AssertionError("permutational poset segment embeds the obstruction")

@@ -9,10 +9,15 @@ arrow search as first written, the reference for the rewritten search; it
 shares only the instance builder ``_arrow_instance`` with the library.
 ``seed_embedding_search`` is the embedding search as first written, the
 reference for the bitset search; it shares nothing with the library.
+
+``revalidate_trusted_builds`` runs for every test: each structure that the
+package builds without validation (``_checked=True``) is validated again,
+and a test during which one fails validation fails.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 from fractions import Fraction
@@ -27,7 +32,32 @@ from ramsey_forge.arrows import (
     Coloring,
     _arrow_instance,
 )
-from ramsey_forge.structures import FinStructure, SignatureMismatchError
+from ramsey_forge.structures import (
+    FinStructure,
+    SignatureMismatchError,
+    StructureError,
+)
+
+
+@pytest.fixture(autouse=True)
+def revalidate_trusted_builds(monkeypatch):
+    """Validate every structure built with ``_checked=True`` during the
+    test; yields the list of failures, each ``(structure, message)``,
+    and fails the test when it is not empty at the end."""
+    invalid: list[tuple[FinStructure, str]] = []
+    trusted_post_init = FinStructure.__post_init__
+
+    def post_init(self) -> None:
+        if self._checked:
+            try:
+                dataclasses.replace(self, _checked=False)
+            except StructureError as exc:
+                invalid.append((self, str(exc)))
+        trusted_post_init(self)
+
+    monkeypatch.setattr(FinStructure, "__post_init__", post_init)
+    yield invalid
+    assert not invalid, f"trusted builds that fail validation: {invalid}"
 
 
 def brute_force_embedding_maps(a: FinStructure, b: FinStructure
@@ -79,6 +109,36 @@ def brute_force_permutational(p: FinStructure):
                == ((x, y) in po)
                for x in range(p.size) for y in range(p.size) if x != y):
             return listing
+    return None
+
+
+def brute_force_acyclic(d: FinStructure) -> bool:
+    """Some listing of the points puts every arc forward."""
+    arcs = d.relations[0]
+    return any(all(position[x] < position[y] for x, y in arcs)
+               for position in itertools.permutations(range(d.size)))
+
+
+def brute_force_oriented_amalgam(a: FinStructure, b: FinStructure,
+                                 c: FinStructure, f: tuple[int, ...],
+                                 g: tuple[int, ...], member):
+    """An amalgam of the span ``B <-f- A -g-> C`` among all oriented graphs
+    on at most ``|B| + |C| - |A|`` points that ``member`` accepts, merges
+    of points of B with points of C included: the first ``(D, leg_b,
+    leg_c)`` whose embeddings agree on A, or None."""
+    name = b.signature.names[0]
+    for m in range(max(b.size, c.size), b.size + c.size - a.size + 1):
+        pairs = list(itertools.combinations(range(m), 2))
+        for choice in itertools.product((0, 1, 2), repeat=len(pairs)):
+            arcs = [(x, y) if ch == 1 else (y, x)
+                    for (x, y), ch in zip(pairs, choice) if ch]
+            d = FinStructure.build(b.signature, m, {name: arcs})
+            if not member(d):
+                continue
+            for leg_b in sorted(brute_force_embedding_maps(b, d)):
+                for leg_c in sorted(brute_force_embedding_maps(c, d)):
+                    if all(leg_b[f[x]] == leg_c[g[x]] for x in range(a.size)):
+                        return d, leg_b, leg_c
     return None
 
 

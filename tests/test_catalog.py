@@ -125,3 +125,30 @@ def test_tournaments_are_the_tournament_oriented_members(n):
     oriented = catalog.CLASSES["oriented-graphs"].members(n)
     assert catalog.CLASSES["tournaments"].members(n) == tuple(
         s for s in oriented if catalog.is_tournament(s))
+
+
+def _swap(option, x, y):
+    relabel = {x: y, y: x}
+    return frozenset(tuple(relabel[v] for v in t) for t in option)
+
+
+@pytest.mark.parametrize("name", sorted(catalog.CLASSES))
+def test_class_options_are_closed_under_the_swap(name):
+    """The amalgamation check skips mirrored spans, which relabel the open
+    slots by swapping their points."""
+    klass = catalog.CLASSES[name]
+    for spec in klass.signature.relations:
+        for x, y in itertools.combinations(range(4), 2):
+            options = {frozenset(o) for o in klass.options(spec.tag, x, y)}
+            assert {_swap(o, x, y) for o in options} == options
+
+
+@pytest.mark.parametrize("name", sorted(catalog.CLASSES))
+def test_every_member_slot_takes_a_class_option(name):
+    klass = catalog.CLASSES[name]
+    for s in klass.members_up_to(4):
+        for spec, tuples in zip(s.signature.relations, s.relations):
+            for x, y in itertools.combinations(s.domain, 2):
+                slot = frozenset(t for t in tuples if set(t) == {x, y})
+                assert slot in {frozenset(o)
+                                for o in klass.options(spec.tag, x, y)}, s

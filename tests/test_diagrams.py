@@ -36,7 +36,12 @@ from ramsey_forge.structures import (
     is_embedding,
 )
 
-from conftest import brute_force_permutational, every_instance_class_property
+from conftest import (
+    brute_force_acyclic,
+    brute_force_oriented_amalgam,
+    brute_force_permutational,
+    every_instance_class_property,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -398,18 +403,20 @@ def test_forged_completion_is_rejected(flags):
     script = textwrap.dedent("""
         from ramsey_forge import catalog, diagrams
         from ramsey_forge.structures import Embedding, StructureError
-        # every completion is edgeless, so no leg embeds K2
-        diagrams._complete_structures = (
-            lambda signature, size, *rest: iter([catalog.graph(size, [])]))
         k1, k2 = catalog.complete_graph(1), catalog.complete_graph(2)
-        f = Embedding(k1, k2, (0,))
-        for search in (lambda: diagrams.amalgamate(k1, k2, k2, f, f),
-                       lambda: diagrams.find_cocone(diagrams.ab_diagram(
-                           k1, k2, [((0,), (0,), 0, 1)], 2), 3)):
-            try:
-                search()
-            except StructureError:
-                print("rejected")
+        # an edgeless completion drops the edge of K2; the edge 0-1 lies
+        # inside the image of the edgeless B, whose points 0 and 1 it joins
+        for b, edges in ((k2, []), (catalog.empty_graph(2), [(0, 1)])):
+            diagrams._complete_structures = (
+                lambda signature, size, *rest: iter([catalog.graph(size, edges)]))
+            f = Embedding(k1, b, (0,))
+            for search in (lambda: diagrams.amalgamate(k1, b, b, f, f),
+                           lambda: diagrams.find_cocone(diagrams.ab_diagram(
+                               k1, b, [((0,), (0,), 0, 1)], 2), 3)):
+                try:
+                    search()
+                except StructureError:
+                    print("rejected")
     """)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -417,7 +424,38 @@ def test_forged_completion_is_rejected(flags):
     proc = subprocess.run([sys.executable, *flags, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "rejected\nrejected\n"
+    assert proc.stdout == "rejected\n" * 4
+
+
+def test_dags_are_not_a_fraisse_age():
+    """The abstract's claim up to 4 points: HP and JEP hold, and AP and
+    SAP fail at a span that no oriented graph amalgamates, merges
+    included, as the brute-force oracle confirms."""
+    dags = catalog.CLASSES["dags"]
+    assert check_class_property("HP", dags, 4) == diagrams.ClassPropertyReport(
+        "HP", "dags", 4, True, None, (), 474)
+    assert check_class_property("JEP", dags, 4) == diagrams.ClassPropertyReport(
+        "JEP", "dags", 4, True, None, (), 1600)
+    span = (1, 6, 6, (0, 1), (1, 0))
+    for prop in ("AP", "SAP"):
+        assert check_class_property(prop, dags, 4) == diagrams.ClassPropertyReport(
+            prop, "dags", 4, False, span, (), 15726)
+    members = dags.members_up_to(4)
+    a, b, c = members[1], members[6], members[6]
+    assert brute_force_oriented_amalgam(a, b, c, (0, 1), (1, 0),
+                                        brute_force_acyclic) is None
+    # the oracle does find amalgams: gluing both copies along A works
+    assert brute_force_oriented_amalgam(a, b, c, (0, 1), (0, 1),
+                                        brute_force_acyclic) is not None
+
+
+def test_jep_on_tournaments_up_to_4():
+    """Slots of a tournament amalgam are never empty; skipping the empty
+    option keeps the first tournament within the first few candidates."""
+    tournaments = catalog.CLASSES["tournaments"]
+    report = check_class_property("JEP", tournaments, 4)
+    assert report.holds and not report.undecided
+    assert report.instances_checked == len(tournaments.members_up_to(4)) ** 2
 
 
 @pytest.mark.parametrize("name", ["graphs", "oriented-graphs", "tournaments",
