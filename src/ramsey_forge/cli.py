@@ -259,14 +259,14 @@ def _cmd_diagram(args: argparse.Namespace, config: RunConfig) -> int:
         raise UsageError(f"cannot read diagram {args.infile}: {exc}") from exc
     if not diagram.top_objects:
         raise UsageError(f"diagram {args.infile} has no top objects")
-    predicate = None
+    within: dict = {}
     if args.klass:
         klass = _class(args.klass)
         if klass.signature != diagram.top_objects[0].signature:
             raise UsageError(f"class {args.klass!r} does not share the "
                              "diagram's signature")
-        predicate = klass.predicate
-    search = diagrams.find_cocone(diagram, args.max_tip, predicate)
+        within = {"class_predicate": klass.predicate, "options": klass.options}
+    search = diagrams.find_cocone(diagram, args.max_tip, **within)
     out: dict = {"check": "cocone", "status": search.status}
     if search.cocone is not None:
         out["tip"] = structures.structure_to_dict(search.cocone.tip)

@@ -267,7 +267,8 @@ def _forced_quotient(tops: Sequence[FinStructure],
 
 
 def find_cocone(diagram: StructDiagram, max_tip_size: int,
-                class_predicate: Callable[[FinStructure], bool] | None = None
+                class_predicate: Callable[[FinStructure], bool] | None = None,
+                options: Callable[[str, int, int], list] = _slot_options
                 ) -> CoconeSearch:
     """Search for a commuting cocone on the forced quotient.
 
@@ -279,6 +280,8 @@ def find_cocone(diagram: StructDiagram, max_tip_size: int,
     give ``none-within-bound``, yet identity legs into K2 commute.)  Two
     outcomes are proofs: a forced merge inside one top object, or
     contradictory forced relations, make a cocone impossible outright.
+    ``options`` are the tuple sets an open slot may take, as in
+    :func:`amalgamate`.
     """
     shape = diagram.shape
     if shape.n_top == 0:
@@ -287,7 +290,7 @@ def find_cocone(diagram: StructDiagram, max_tip_size: int,
              shape.arrows[a2][1], diagram.arrow_maps[a2].map)
             for a1, a2 in map(shape.arrows_of, range(shape.n_bottom))]
     quotient = _forced_quotient(diagram.top_objects, glue, max_tip_size,
-                                class_predicate)
+                                class_predicate, options)
     if isinstance(quotient, str):
         return CoconeSearch(quotient)
     for tip, legs in quotient:

@@ -483,34 +483,58 @@ def canonical_key(a: FinStructure):
     """A permutation-invariant encoding; equal keys iff isomorphic.
 
     Each vertex is colored by its degree profile, an isomorphism
-    invariant, and the color classes (cells) are laid out in color order,
-    each on its own block of positions.  The key is the least encoding over
-    the relabelings that send every cell onto its block: the product of the
-    per-cell permutations instead of all n!.  An isomorphism maps cells onto
-    cells of the same color, so isomorphic structures range over the same
-    encodings and share the minimum; equal encodings are equal relabeled
-    structures, so the key stays complete.
+    invariant: per relation and position, the number of tuples that hold
+    the vertex there.  The color classes (cells) are laid out in color
+    order, each on its own block of positions.  A relabeling ``perm``
+    encodes a relation of arity k on n points as one int with a bit per
+    tuple t, at index ``perm[t0]·n^(k-1) + ... + perm[t(k-1)]``: t's image
+    read as k digits in base n.  The key is the least tuple of these codes
+    over the relabelings that send every cell onto its block: the product
+    of the per-cell permutations instead of all n!.  An isomorphism maps
+    cells onto cells of the same color, so isomorphic structures range
+    over the same encodings and share the minimum; the digits of a bit's
+    index are the tuple's image, so equal encodings are equal relabeled
+    structures, and the key stays complete.
 
     Keys are not cached: class enumeration asks once per labelled
     candidate, and a cache would keep every candidate alive.
     """
-    profiles = _degree_profiles(a)
-    colors = [tuple(sorted(p.items())) for p in profiles]
+    n = a.size
+    columns = []
+    for spec, tuples in zip(a.signature.relations, a.relations):
+        for pos in range(spec.arity):
+            column = [0] * n
+            for t in tuples:
+                column[t[pos]] += 1
+            columns.append(column)
+    colors = list(zip(*columns)) if columns else [()] * n
     by_color = sorted(a.domain, key=colors.__getitem__)
     cells = [tuple(cell) for _, cell in
              itertools.groupby(by_color, key=colors.__getitem__)]
-    perm = [0] * a.size
+    # each relation's tuples, listed once for every relabeling
+    rels = [(spec.arity, tuple(tuples))
+            for spec, tuples in zip(a.signature.relations, a.relations)]
+    perm = [0] * n
     best = None
     for blocks in itertools.product(*map(itertools.permutations, cells)):
         for pos, v in enumerate(itertools.chain.from_iterable(blocks)):
             perm[v] = pos
-        enc = tuple(
-            tuple(sorted(tuple(perm[v] for v in t) for t in tuples))
-            for tuples in a.relations
-        )
+        codes = []
+        for arity, tuples in rels:
+            if arity == 2:  # every catalog class's arity, in one pass
+                code = sum([1 << (perm[x] * n + perm[y]) for x, y in tuples])
+            else:
+                code = 0
+                for t in tuples:
+                    index = 0
+                    for v in t:
+                        index = index * n + perm[v]
+                    code |= 1 << index
+            codes.append(code)
+        enc = tuple(codes)
         if best is None or enc < best:
             best = enc
-    return (a.signature, a.size, best)
+    return (a.signature, n, best)
 
 
 def automorphisms(a: FinStructure) -> tuple[Embedding, ...]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .catalog import (
     GRAPH_SIG,
@@ -35,14 +36,27 @@ ORDERED_GRAPH_SIG = Signature.make(("E", 2, TAG_SYMMETRIC), ("omega", 2, TAG_LIN
 
 
 def _bit_edge(i: int, j: int) -> bool:
-    """BIT adjacency: for i < j, edge iff bit i of j is set."""
+    """BIT adjacency: for i < j, edge iff bit i of j is set.  The
+    definition; the generators list the same pairs with ``_bit_arcs``."""
     lo, hi = (i, j) if i < j else (j, i)
     return bool((hi >> lo) & 1)
 
 
+def _bit_arcs(n: int) -> Iterator[tuple[int, int]]:
+    """The pairs (i, j) with j < n and bit i of j set, which forces i < j:
+    the ``_bit_edge`` pairs, read off the set bits of each j in O(n log n)
+    instead of testing all n² pairs."""
+    for j in range(n):
+        rest = j
+        while rest:
+            low = rest & -rest
+            yield low.bit_length() - 1, j
+            rest ^= low
+
+
 def rado(n: int) -> FinStructure:
-    edges = frozenset((i, j) for i in range(n) for j in range(n)
-                      if i != j and _bit_edge(i, j))
+    edges = frozenset(itertools.chain.from_iterable(
+        ((i, j), (j, i)) for i, j in _bit_arcs(n)))
     return FinStructure(GRAPH_SIG, n, (edges,), _checked=True)
 
 
@@ -54,8 +68,7 @@ def ordered_rado(n: int) -> FinStructure:
 
 def acyclic_universal(n: int) -> FinStructure:
     """Orient the BIT graph's edges upward along the natural order."""
-    arcs = frozenset((i, j) for i in range(n) for j in range(i + 1, n)
-                     if _bit_edge(i, j))
+    arcs = frozenset(_bit_arcs(n))
     return FinStructure(ORIENTED_SIG, n, (arcs,), _checked=True)
 
 

@@ -9,6 +9,9 @@ arrow search as first written, the reference for the rewritten search; it
 shares only the instance builder ``_arrow_instance`` with the library.
 ``seed_embedding_search`` is the embedding search as first written, the
 reference for the bitset search; it shares nothing with the library.
+``random_mixed`` draws seeded structures with a unary, a ternary and a
+looped binary relation, the less common cases of the embedding search
+and of the canonical key.
 
 ``revalidate_trusted_builds`` runs for every test: each structure that the
 package builds without validation (``_checked=True``) is validated again,
@@ -34,6 +37,7 @@ from ramsey_forge.arrows import (
 )
 from ramsey_forge.structures import (
     FinStructure,
+    Signature,
     SignatureMismatchError,
     StructureError,
 )
@@ -84,6 +88,22 @@ def brute_force_isomorphism(a: FinStructure, b: FinStructure) -> bool:
     if a.size != b.size:
         return False
     return bool(brute_force_embedding_maps(a, b))
+
+
+MIXED_SIG = Signature.make(("P", 1), ("R", 3), ("L", 2))
+
+
+def random_mixed(rng, n: int, density: tuple[float, float, float] = (0.5, 0.08, 0.3)
+                 ) -> FinStructure:
+    """A structure with a unary relation, a ternary one, and a binary one
+    under tag ``none``, loops included; ``density`` is the chance of each
+    tuple, per relation."""
+    unary, ternary, binary = density
+    return FinStructure.build(MIXED_SIG, n, {
+        "P": [(x,) for x in range(n) if rng.random() < unary],
+        "R": [t for t in itertools.product(range(n), repeat=3) if rng.random() < ternary],
+        "L": [t for t in itertools.product(range(n), repeat=2) if rng.random() < binary],
+    })
 
 
 def brute_force_canonical_key(a: FinStructure):

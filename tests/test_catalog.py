@@ -9,7 +9,7 @@ import pytest
 from ramsey_forge import catalog
 from ramsey_forge.structures import FinStructure, canonical_key
 
-from conftest import brute_force_canonical_key
+from conftest import brute_force_canonical_key, random_mixed
 
 
 def assert_same_partition(structs):
@@ -84,6 +84,24 @@ class TestCanonicalKeyOracle:
         assert len(sample) == 200
         assert_same_partition(sample)
 
+    def test_seeded_mixed_signature_on_0_to_5_points(self):
+        # a unary relation, a ternary one and loops under tag none: the
+        # arities and bases that a key's bit indices are read in.  Each
+        # structure has its own density and comes with a random relabeling,
+        # and the small sizes repeat, so the pool holds isomorphic pairs and
+        # distinct ones
+        rng = random.Random(1309)
+        sample = []
+        for n in (0, 1, 1, 2, 2, 3, 3, 4, 4, 5):
+            for _ in range(12):
+                s = random_mixed(rng, n, (rng.random(),) * 3)
+                perm = rng.sample(range(n), n)
+                sample += [s, FinStructure(s.signature, n, tuple(
+                    frozenset(tuple(perm[x] for x in t) for t in tuples)
+                    for tuples in s.relations))]
+        assert len({canonical_key(s) for s in sample}) > 40
+        assert_same_partition(sample)
+
 
 def oracle_members(name, n):
     """The first structure of each iso class, keyed by the brute-force key."""
@@ -118,6 +136,12 @@ OEIS_COUNTS = {
 def test_member_counts_match_oeis(name):
     counts = tuple(len(catalog.CLASSES[name].members(n)) for n in range(1, 6))
     assert counts == OEIS_COUNTS[name]
+
+
+@pytest.mark.parametrize("name, count", [("graphs", 156), ("tournaments", 56)])
+def test_member_counts_on_6_points_match_oeis(name, count):
+    # OEIS A000088 and A000568 at n = 6
+    assert len(catalog.CLASSES[name].members(6)) == count
 
 
 @pytest.mark.parametrize("n", range(1, 6))

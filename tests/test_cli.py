@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -165,6 +166,31 @@ class TestDiagramCommand:
         code, out = run(capsys, ["diagram", "cocone", "--in", str(path),
                                  "--max-tip", "2"])
         assert code == EXIT_UNDECIDED
+
+    def test_class_options_fill_the_open_pairs(self, capsys, tmp_path):
+        # two 4-point tournaments side by side leave 16 open pairs; with the
+        # tournaments' options the first candidate is already a tournament,
+        # where the default options would try the empty pair first
+        transitive = catalog.oriented_graph(4, itertools.combinations(range(4), 2))
+        cycle_sink = catalog.oriented_graph(
+            4, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)])
+        doc = {
+            "shape": {"top": 2, "bottom": 0, "arrows": []},
+            "top_objects": [structures.structure_to_dict(transitive),
+                            structures.structure_to_dict(cycle_sink)],
+            "bottom_objects": [],
+            "arrow_maps": [],
+        }
+        path = tmp_path / "diagram.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, ["diagram", "cocone", "--in", str(path),
+                                 "--max-tip", "8", "--class", "tournaments"])
+        assert code == EXIT_OK
+        result = json.loads(out)
+        assert result["status"] == "found"
+        tip = structures.structure_from_dict(result["tip"])
+        assert tip.size == 8 and catalog.is_tournament(tip)
+        assert result["legs"] == [[0, 1, 2, 3], [4, 5, 6, 7]]
 
     def test_contradiction_exits_one_with_the_report(self, capsys, tmp_path):
         # an edge of one P3 glued onto a non-edge of the other

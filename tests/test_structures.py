@@ -8,7 +8,6 @@ from ramsey_forge import catalog, universes
 from ramsey_forge.structures import (
     Embedding,
     FinStructure,
-    Signature,
     SignatureMismatchError,
     StructureError,
     _embedding_search,
@@ -31,6 +30,7 @@ from ramsey_forge.structures import (
 from conftest import (
     brute_force_embedding_maps,
     brute_force_isomorphism,
+    random_mixed,
     seed_embedding_search,
 )
 
@@ -145,19 +145,6 @@ def assert_seed_scan(a, b):
     for n in range(b.size + 1):
         assert list(_embedding_search(a, b, n)) == list(
             seed_embedding_search(a, restriction(b, range(n)))), (a, b, n)
-
-
-MIXED_SIG = Signature.make(("P", 1), ("R", 3), ("L", 2))
-
-
-def random_mixed(rng, n):
-    """A structure with a unary relation, a ternary one, and a binary one
-    under tag ``none``, loops included."""
-    return FinStructure.build(MIXED_SIG, n, {
-        "P": [(x,) for x in range(n) if rng.random() < 0.5],
-        "R": [t for t in itertools.product(range(n), repeat=3) if rng.random() < 0.08],
-        "L": [t for t in itertools.product(range(n), repeat=2) if rng.random() < 0.3],
-    })
 
 
 def induced_copy(rng, s, k):

@@ -51,6 +51,23 @@ class TestRado:
         assert s.rel("omega") == frozenset(
             (i, j) for i in range(5) for j in range(5) if i < j)
 
+    def test_bit_segments_match_the_pairwise_definition(self):
+        # segment n adds the pairs of point n - 1 with the points below it,
+        # each ordered pair tested with _bit_edge.  ordered_rado's edges are
+        # rado's; its order costs O(n²) to revalidate, so it is built at
+        # fewer sizes
+        e: set = set()
+        for n in range(301):
+            if n:
+                j = n - 1
+                e.update(p for i in range(j) if universes._bit_edge(i, j)
+                         for p in ((i, j), (j, i)))
+            assert rado(n).size == acyclic_universal(n).size == n
+            assert rado(n).rel("E") == e
+            if n <= 64 or n == 300:
+                assert ordered_rado(n).rel("E") == e
+            assert acyclic_universal(n).rel("arc") == {(i, j) for i, j in e if i < j}
+
 
 class TestAcyclicUniversal:
     def test_orientation_of_rado_4(self):
