@@ -354,6 +354,14 @@ def two_chain_over(name: str) -> FinStructure:
     return FinStructure.build(sig, 2, {name: [(0, 1)]})
 
 
+def _two_orders(p: FinStructure) -> list[str]:
+    """The names of the two linear orders of a two-order structure."""
+    linear = [s.name for s in p.signature.relations if s.tag == TAG_LINEAR]
+    if len(linear) != 2:
+        raise StructureError("need exactly two linear orders")
+    return linear
+
+
 def sierpinski_coloring(p: FinStructure) -> Coloring:
     """Two-color the 2-chains of a two-order structure by order agreement.
 
@@ -361,22 +369,16 @@ def sierpinski_coloring(p: FinStructure) -> Coloring:
     color 0 when the second order agrees and color 1 when it reverses.
     Always a 2-coloring, even if only one color occurs.
     """
-    linear = [s for s in p.signature.relations if s.tag == TAG_LINEAR]
-    if len(linear) != 2:
-        raise StructureError("sierpinski_coloring: need exactly two linear orders")
-    pattern = two_chain_over(linear[0].name)
-    hom = _hom_for_pattern(pattern, p)
-    omega = p.rel(linear[1].name)
+    first, second = _two_orders(p)
+    hom = _hom_for_pattern(two_chain_over(first), p)
+    omega = p.rel(second)
     assignment = tuple(0 if (u.map[0], u.map[1]) in omega else 1 for u in hom)
     return Coloring(hom, 2, assignment)
 
 
 def sierpinski_pattern(p: FinStructure) -> FinStructure:
     """The 2-chain over the first linear order of ``p``, for oligo ops."""
-    linear = [s for s in p.signature.relations if s.tag == TAG_LINEAR]
-    if len(linear) != 2:
-        raise StructureError("need exactly two linear orders")
-    return two_chain_over(linear[0].name)
+    return two_chain_over(_two_orders(p)[0])
 
 
 def transfer_check(c: FinStructure, d: FinStructure, b: FinStructure,

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import and_
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .structures import (
@@ -40,8 +39,7 @@ POSET_SIG = Signature.make(("po", 2, TAG_NONE))
 
 def chain(n: int) -> FinStructure:
     """The n-element chain 0 < 1 < ... < n-1."""
-    lt = [(i, j) for i in range(n) for j in range(n) if i < j]
-    return FinStructure.build(CHAIN_SIG, n, {"lt": lt})
+    return FinStructure.build(CHAIN_SIG, n, {"lt": linear_order_pairs(range(n))})
 
 
 def graph(n: int, edges: Iterable[tuple[int, int]]) -> FinStructure:
@@ -150,19 +148,20 @@ def is_poset(s: FinStructure) -> bool:
 
 
 def is_acyclic(s: FinStructure) -> bool:
-    arc = s.rel("arc")
-    color = [0] * s.size  # 0 new, 1 active, 2 done
-
-    def visit(v: int) -> bool:
-        color[v] = 1
-        for x, y in arc:
-            if x == v:
-                if color[y] == 1 or (color[y] == 0 and not visit(y)):
-                    return False
-        color[v] = 2
-        return True
-
-    return all(color[v] != 0 or visit(v) for v in range(s.size))
+    """No directed cycle: peeling off points of in-degree 0 (Kahn's
+    algorithm) reaches every point."""
+    below = [0] * s.size
+    above: list[list[int]] = [[] for _ in s.domain]
+    for x, y in s.rel("arc"):
+        above[x].append(y)
+        below[y] += 1
+    peeled = [v for v in s.domain if not below[v]]
+    for v in peeled:  # grows while it is read
+        for y in above[v]:
+            below[y] -= 1
+            if not below[y]:
+                peeled.append(y)
+    return len(peeled) == s.size
 
 
 def is_linearly_ordered_poset(s: FinStructure) -> bool:
@@ -192,9 +191,11 @@ def _tournament_options(tag: str, x: int, y: int) -> list[tuple[tuple[int, ...],
     return _slot_options(tag, x, y)[1:]
 
 
-def _poset_options(tag: str, x: int, y: int) -> list[tuple[tuple[int, ...], ...]]:
-    """A strict order has no two-way pair."""
-    return _slot_options(TAG_ORIENTED, x, y)
+def _order_options(tag: str, x: int, y: int) -> list[tuple[tuple[int, ...], ...]]:
+    """A strict order has no two-way pair: a ``none``-tagged relation, the
+    order of posets and lops, drops it; other tags keep their options."""
+    options = _slot_options(tag, x, y)
+    return options[:-1] if tag == TAG_NONE else options
 
 
 def _complete_structures(signature: Signature, size: int,
@@ -216,8 +217,8 @@ def _complete_structures(signature: Signature, size: int,
     and that they agree wherever two parts meet, and every option is valid
     for its tag on its own, so each pair of points carries valid tuples.
     Transitivity is the one condition on three points.  So when the
-    signature has a linear order and no part covers every point, each
-    candidate is validated, and an intransitive one is skipped.
+    signature has a linear order, each candidate is validated, and an
+    intransitive one is skipped.
     """
     slot_axes: list[tuple[int, list[tuple[tuple[int, ...], ...]]]] = []
     for ri, spec in enumerate(signature.relations):
@@ -233,8 +234,7 @@ def _complete_structures(signature: Signature, size: int,
                     mask &= covers[p]
                 if not mask:
                     slot_axes.append((ri, [(), (t,)]))
-    trusted = (reduce(and_, covers, -1) != 0
-               or all(spec.tag != TAG_LINEAR for spec in signature.relations))
+    trusted = all(spec.tag != TAG_LINEAR for spec in signature.relations)
 
     for choice in itertools.product(*(opts for _, opts in slot_axes)):
         rels = [set(b) for b in base]
@@ -324,25 +324,21 @@ def _gen(name: str, n: int) -> tuple[FinStructure, ...]:
     raise KeyError(name)
 
 
-def _maker(name: str) -> Callable[[int], tuple[FinStructure, ...]]:
-    return lambda n: _gen(name, n)
-
-
 CLASSES: dict[str, StructClass] = {
-    "chains": StructClass("chains", CHAIN_SIG, always, _maker("chains")),
-    "graphs": StructClass("graphs", GRAPH_SIG, always, _maker("graphs")),
+    "chains": StructClass("chains", CHAIN_SIG, always, partial(_gen, "chains")),
+    "graphs": StructClass("graphs", GRAPH_SIG, always, partial(_gen, "graphs")),
     "triangle-free": StructClass("triangle-free", GRAPH_SIG, is_triangle_free,
-                                 _maker("triangle-free")),
+                                 partial(_gen, "triangle-free")),
     "oriented-graphs": StructClass("oriented-graphs", ORIENTED_SIG, always,
-                                   _maker("oriented-graphs")),
+                                   partial(_gen, "oriented-graphs")),
     "tournaments": StructClass("tournaments", ORIENTED_SIG, is_tournament,
-                               _maker("tournaments"), _tournament_options),
-    "dags": StructClass("dags", ORIENTED_SIG, is_acyclic, _maker("dags")),
-    "posets": StructClass("posets", POSET_SIG, is_poset, _maker("posets"),
-                          _poset_options),
+                               partial(_gen, "tournaments"), _tournament_options),
+    "dags": StructClass("dags", ORIENTED_SIG, is_acyclic, partial(_gen, "dags")),
+    "posets": StructClass("posets", POSET_SIG, is_poset, partial(_gen, "posets"),
+                          _order_options),
     "permutations": StructClass("permutations", PERM_SIG, always,
-                                _maker("permutations")),
+                                partial(_gen, "permutations")),
     "linearly-ordered-posets": StructClass(
         "linearly-ordered-posets", LOPOSET_SIG, is_linearly_ordered_poset,
-        _maker("linearly-ordered-posets")),
+        partial(_gen, "linearly-ordered-posets"), _order_options),
 }

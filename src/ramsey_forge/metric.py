@@ -176,22 +176,28 @@ def blocks(s: DistanceSet) -> BlockPartition:
     return BlockPartition(tuple(blk[-1] for blk in out), tuple(map(tuple, out)))
 
 
+def _block_numbers(s: DistanceSet, name: str, x, y) -> list[int]:
+    """Block numbers of the positive values ``x`` and ``y`` of ``s``."""
+    pair = (_frac(x), _frac(y))
+    if min(pair) <= 0:
+        raise MetricError(f"{name} is defined on positive values only")
+    at = [s._position(v) for v in pair]
+    if None in at:
+        missing = next(v for v, i in zip(pair, at) if i is None)
+        raise MetricError(f"{missing} is not a member of the distance set")
+    return [s._of[i] for i in at]
+
+
 def approx(s: DistanceSet, x, y) -> bool:
     """Same-block relation on positive values."""
-    x, y = _frac(x), _frac(y)
-    if x <= 0 or y <= 0:
-        raise MetricError("approx is defined on positive values only")
-    bp = blocks(s)
-    return bp.block_index(x) == bp.block_index(y)
+    bx, by = _block_numbers(s, "approx", x, y)
+    return bx == by
 
 
 def ll(s: DistanceSet, x, y) -> bool:
     """Strictly-earlier-block relation on positive values."""
-    x, y = _frac(x), _frac(y)
-    if x <= 0 or y <= 0:
-        raise MetricError("ll is defined on positive values only")
-    bp = blocks(s)
-    return bp.block_index(x) < bp.block_index(y)
+    bx, by = _block_numbers(s, "ll", x, y)
+    return bx < by
 
 
 def is_metric_triple(a, b, c) -> bool:

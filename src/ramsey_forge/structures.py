@@ -171,18 +171,19 @@ class FinStructure:
 
     @cached_property
     def _point_types(self) -> tuple[list[int], list[dict[int, int]],
-                                    list[dict[tuple[int, int], int]]]:
+                                    list[tuple[int, ...]]]:
         return _sparse_types(self)
 
     @cached_property
     def _type_masks(self) -> tuple[dict[int, int], list[dict[int, int]],
-                                   dict[tuple[int, int], list[int]]]:
+                                   list[list[int]]]:
         """The target side of the embedding search, as bitmasks of points:
         per self type the points of that type; per point x and pair type
         the points y with (x, y) of that type, type 0 being every point but
-        x that is unrelated to x; per degree-profile key a list whose c-th
-        entry holds the points of degree at least c."""
-        self_types, pair_types, profiles = _sparse_types(self)
+        x that is unrelated to x; per position of the degree colour a list
+        whose c-th entry, c >= 1, holds the points with count at least c
+        there."""
+        self_types, pair_types, colors = _sparse_types(self)
         everyone = (1 << self.size) - 1
         by_self: dict[int, int] = {}
         for x, t in enumerate(self_types):
@@ -194,19 +195,16 @@ class FinStructure:
                 masks[t] = masks.get(t, 0) | 1 << y
                 masks[0] ^= 1 << y
             by_pair.append(masks)
-        by_count: dict[tuple[int, int], dict[int, int]] = {}
-        for x, profile in enumerate(profiles):
-            for key, count in profile.items():
-                counts = by_count.setdefault(key, {})
-                counts[count] = counts.get(count, 0) | 1 << x
-        at_least: dict[tuple[int, int], list[int]] = {}
-        for key, counts in by_count.items():
-            row = [everyone] * (max(counts) + 1)
+        at_least: list[list[int]] = []
+        for column in zip(*colors):
+            row = [0] * (max(column) + 1)
+            for x, count in enumerate(column):
+                row[count] |= 1 << x
             acc = 0
             for c in range(len(row) - 1, 0, -1):
-                acc |= counts.get(c, 0)
+                acc |= row[c]
                 row[c] = acc
-            at_least[key] = row
+            at_least.append(row)
         return by_self, by_pair, at_least
 
     def __repr__(self) -> str:  # compact, deterministic
@@ -276,12 +274,12 @@ def is_embedding(f: Sequence[int], a: FinStructure, b: FinStructure) -> bool:
 
 
 def _sparse_types(s: FinStructure) -> tuple[list[int], list[dict[int, int]],
-                                            list[dict[tuple[int, int], int]]]:
+                                            list[tuple[int, ...]]]:
     """Per point x: its self type (one bit per relation of arity 1 or 2,
     set when it holds (x,) or (x, x)), the nonzero types of the pairs
-    (x, y) as ``{y: type}``, and its relation-degree profile.  A pair type
-    has one bit per (binary relation, direction): bit 2i for (x, y) in the
-    i-th binary relation, bit 2i + 1 for (y, x)."""
+    (x, y) as ``{y: type}``, and its degree colour.  A pair type has one
+    bit per (binary relation, direction): bit 2i for (x, y) in the i-th
+    binary relation, bit 2i + 1 for (y, x)."""
     self_types = [0] * s.size
     pair_types: list[dict[int, int]] = [{} for _ in s.domain]
     bit = pair_bit = 1
@@ -300,18 +298,20 @@ def _sparse_types(s: FinStructure) -> tuple[list[int], list[dict[int, int]],
                     pair_types[y][x] = pair_types[y].get(x, 0) | back
             bit <<= 1
             pair_bit <<= 2
-    return self_types, pair_types, _degree_profiles(s)
+    return self_types, pair_types, _degree_colors(s)
 
 
-def _degree_profiles(s: FinStructure) -> list[dict[tuple[int, int], int]]:
-    """Per vertex: counts of incident relation tuples by (relation, position)."""
-    profiles: list[dict[tuple[int, int], int]] = [dict() for _ in s.domain]
-    for ri, tuples in enumerate(s.relations):
-        for t in tuples:
-            for pos, v in enumerate(t):
-                key = (ri, pos)
-                profiles[v][key] = profiles[v].get(key, 0) + 1
-    return profiles
+def _degree_colors(s: FinStructure) -> list[tuple[int, ...]]:
+    """Per point: per relation and position, the number of tuples that hold
+    the point there.  An isomorphism invariant, the point's colour."""
+    columns = []
+    for spec, tuples in zip(s.signature.relations, s.relations):
+        for pos in range(spec.arity):
+            column = [0] * s.size
+            for t in tuples:
+                column[t[pos]] += 1
+            columns.append(column)
+    return list(zip(*columns)) if columns else [()] * s.size
 
 
 def _embedding_search(a: FinStructure, b: FinStructure, below: int | None = None
@@ -320,15 +320,15 @@ def _embedding_search(a: FinStructure, b: FinStructure, below: int | None = None
 
     Candidate sets are bitmasks over the points of ``b``.  Vertex v of ``a``
     starts from the points of ``b`` with its self type (loops and unary
-    tuples) and at least its relation-degree profile.  Once the vertices
-    below v are placed, v's candidates are those points AND-ed with, for
-    every placed u, the mask of points y of ``b`` whose pair type with f(u)
-    is the type of (u, v) in ``a``; "no relation" is a type too, so that
-    one AND both preserves and reflects every relation of arity at most 2,
-    and excludes the points already used.  Relations of arity 3 or more are
-    checked tuple by tuple as each vertex is placed.  Vertices are placed
-    in increasing order and candidates taken lowest bit first, so maps come
-    out in lexicographic order.
+    tuples) and at least each count of its degree colour.  Once the
+    vertices below v are placed, v's candidates are those points AND-ed
+    with, for every placed u, the mask of points y of ``b`` whose pair type
+    with f(u) is the type of (u, v) in ``a``; "no relation" is a type too,
+    so that one AND both preserves and reflects every relation of arity at
+    most 2, and excludes the points already used.  Relations of arity 3 or
+    more are checked tuple by tuple as each vertex is placed.  Vertices are
+    placed in increasing order and candidates taken lowest bit first, so
+    maps come out in lexicographic order.
 
     ``below`` limits the images to the points below it: the embeddings into
     the initial segment ``restriction(b, range(below))``, which that
@@ -344,15 +344,15 @@ def _embedding_search(a: FinStructure, b: FinStructure, below: int | None = None
         yield ()
         return
 
-    a_self, a_pairs, a_profiles = a._point_types
+    a_self, a_pairs, a_colors = a._point_types
     b_self, b_pairs, b_at_least = b._type_masks
     within = (1 << m) - 1
     domains: list[int] = []
     for v in a.domain:
         dom = b_self.get(a_self[v], 0) & within
-        for key, count in a_profiles[v].items():
-            at_least = b_at_least.get(key, ())
-            dom &= at_least[count] if count < len(at_least) else 0
+        for count, at_least in zip(a_colors[v], b_at_least):
+            if count:
+                dom &= at_least[count] if count < len(at_least) else 0
         if not dom:
             return
         domains.append(dom)
@@ -482,10 +482,10 @@ def are_isomorphic(a: FinStructure, b: FinStructure) -> tuple[bool, Embedding | 
 def canonical_key(a: FinStructure):
     """A permutation-invariant encoding; equal keys iff isomorphic.
 
-    Each vertex is colored by its degree profile, an isomorphism
-    invariant: per relation and position, the number of tuples that hold
-    the vertex there.  The color classes (cells) are laid out in color
-    order, each on its own block of positions.  A relabeling ``perm``
+    Each vertex gets its degree colour (``_degree_colors``), an
+    isomorphism invariant: per relation and position, the number of tuples
+    that hold the vertex there.  The color classes (cells) are laid out in
+    color order, each on its own block of positions.  A relabeling ``perm``
     encodes a relation of arity k on n points as one int with a bit per
     tuple t, at index ``perm[t0]·n^(k-1) + ... + perm[t(k-1)]``: t's image
     read as k digits in base n.  The key is the least tuple of these codes
@@ -500,14 +500,7 @@ def canonical_key(a: FinStructure):
     candidate, and a cache would keep every candidate alive.
     """
     n = a.size
-    columns = []
-    for spec, tuples in zip(a.signature.relations, a.relations):
-        for pos in range(spec.arity):
-            column = [0] * n
-            for t in tuples:
-                column[t[pos]] += 1
-            columns.append(column)
-    colors = list(zip(*columns)) if columns else [()] * n
+    colors = _degree_colors(a)
     by_color = sorted(a.domain, key=colors.__getitem__)
     cells = [tuple(cell) for _, cell in
              itertools.groupby(by_color, key=colors.__getitem__)]

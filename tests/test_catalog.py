@@ -7,7 +7,7 @@ import random
 import pytest
 
 from ramsey_forge import catalog
-from ramsey_forge.structures import FinStructure, canonical_key
+from ramsey_forge.structures import FinStructure, StructureError, canonical_key
 
 from conftest import brute_force_canonical_key, random_mixed
 
@@ -168,6 +168,24 @@ def test_class_options_are_closed_under_the_swap(name):
 
 
 @pytest.mark.parametrize("name", sorted(catalog.CLASSES))
+def test_no_class_option_is_dead_on_two_points(name):
+    """Every option of every relation is taken by some valid 2-point
+    member of the class."""
+    klass = catalog.CLASSES[name]
+    offered = [klass.options(spec.tag, 0, 1) for spec in klass.signature.relations]
+    taken = [set() for _ in offered]
+    for choice in itertools.product(*offered):
+        try:
+            s = FinStructure(klass.signature, 2, tuple(map(frozenset, choice)))
+        except StructureError:
+            continue
+        if klass.predicate(s):
+            for seen, option in zip(taken, choice):
+                seen.add(frozenset(option))
+    assert taken == [set(map(frozenset, options)) for options in offered]
+
+
+@pytest.mark.parametrize("name", sorted(catalog.CLASSES))
 def test_every_member_slot_takes_a_class_option(name):
     klass = catalog.CLASSES[name]
     for s in klass.members_up_to(4):
@@ -176,3 +194,11 @@ def test_every_member_slot_takes_a_class_option(name):
                 slot = frozenset(t for t in tuples if set(t) == {x, y})
                 assert slot in {frozenset(o)
                                 for o in klass.options(spec.tag, x, y)}, s
+
+
+def test_acyclic_needs_no_recursion():
+    # 1,500 points on one directed path, past Python's recursion limit
+    n = 1500
+    path = [(i, i + 1) for i in range(n - 1)]
+    assert catalog.is_acyclic(catalog.oriented_graph(n, path))
+    assert not catalog.is_acyclic(catalog.oriented_graph(n, path + [(n - 1, 0)]))

@@ -192,6 +192,23 @@ class TestDiagramCommand:
         assert tip.size == 8 and catalog.is_tournament(tip)
         assert result["legs"] == [[0, 1, 2, 3], [4, 5, 6, 7]]
 
+    def test_long_dag_top_is_its_own_cocone(self, capsys, tmp_path):
+        # a 1,500-point directed path, past Python's recursion limit
+        n = 1500
+        top = catalog.oriented_graph(n, [(i, i + 1) for i in range(n - 1)])
+        doc = {
+            "shape": {"top": 1, "bottom": 0, "arrows": []},
+            "top_objects": [structures.structure_to_dict(top)],
+            "bottom_objects": [],
+            "arrow_maps": [],
+        }
+        path = tmp_path / "diagram.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, ["diagram", "cocone", "--in", str(path),
+                                 "--max-tip", str(n), "--class", "dags"])
+        assert code == EXIT_OK
+        assert json.loads(out)["status"] == "found"
+
     def test_contradiction_exits_one_with_the_report(self, capsys, tmp_path):
         # an edge of one P3 glued onto a non-edge of the other
         a, b = catalog.complete_graph(1), catalog.path_graph(3)

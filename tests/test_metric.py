@@ -98,13 +98,13 @@ class TestApproxAndBelow:
             assert not ll(S, x, x)
 
     def test_zero_rejected(self):
-        with pytest.raises(MetricError):
+        with pytest.raises(MetricError, match="approx is defined on positive"):
             approx(S, 0, 1)
-        with pytest.raises(MetricError):
+        with pytest.raises(MetricError, match="ll is defined on positive"):
             ll(S, 1, 0)
 
     def test_non_member_rejected(self):
-        with pytest.raises(MetricError):
+        with pytest.raises(MetricError, match="3 is not a member"):
             approx(S, 3, 1)
 
 
