@@ -2,7 +2,7 @@
 
 One executable, six subcommands: ``arrow``, ``fraisse``, ``diagram``,
 ``universe``, ``metric``, ``selftest``.  Reports are deterministic: the
-same inputs and configuration produce byte-identical output, so there are
+same inputs and flags produce byte-identical output, so there are
 no timestamps, no timing fields, and no randomness anywhere.
 
 Exit codes: 0 success / property holds; 1 property fails (witness in the
@@ -13,20 +13,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 from . import arrows, catalog, diagrams, metric, structures, universes
+from .selftest import all_checks
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_UNDECIDED = 2
 EXIT_USAGE = 64
 
-BUDGET_ENV = "RAMSEY_FORGE_BUDGET"
+T = TypeVar("T")
 
 
 class UsageError(Exception):
@@ -38,86 +37,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Execution knobs shared by all subcommands."""
-
-    budget: int = arrows.DEFAULT_BUDGET
-    fmt: str = "json"
-
-    def __post_init__(self) -> None:
-        if self.budget < 1:
-            raise UsageError("budget must be >= 1")
-        if self.fmt not in ("json", "text"):
-            raise UsageError(f"unknown output format {self.fmt!r}")
-
-
-def _load_config_file(path: str) -> dict[str, str]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    out: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"config line without '=': {line!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
-
-
-def _parse_budget(text: str, source: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"{source}: budget must be an integer, "
-                         f"got {text!r}") from None
-
-
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    budget = arrows.DEFAULT_BUDGET
-    fmt = "json"
-    if getattr(args, "config", None):
-        doc = _load_config_file(args.config)
-        if "budget" in doc:
-            budget = _parse_budget(doc["budget"], args.config)
-        fmt = doc.get("format", fmt)
-    if os.environ.get(BUDGET_ENV):
-        budget = _parse_budget(os.environ[BUDGET_ENV], BUDGET_ENV)
-    if getattr(args, "budget", None) is not None:
-        budget = args.budget
-    if getattr(args, "format", None) is not None:
-        fmt = args.format
-    return RunConfig(budget, fmt)
-
-
-def _render(doc: dict, config: RunConfig) -> str:
-    """A report in the configured format, one trailing newline."""
-    if config.fmt == "text":
+def _render(doc: dict, fmt: str) -> str:
+    """A report in the format ``fmt``, one trailing newline."""
+    if fmt == "text":
         return "".join(f"{key}: {json.dumps(doc[key], sort_keys=True)}\n"
                        for key in sorted(doc))
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(doc: dict, config: RunConfig) -> None:
-    sys.stdout.write(_render(doc, config))
+def _emit(doc: dict, fmt: str) -> None:
+    sys.stdout.write(_render(doc, fmt))
 
 
-def _read_structure(path: str) -> structures.FinStructure:
+def _read(path: str, what: str, from_dict: Callable[[object], T]) -> T:
+    """The object the JSON file at ``path`` describes; a file that cannot be
+    read, decoded or parsed, or that describes no ``what``, is a usage error."""
     try:
-        return structures.structure_from_json(Path(path).read_text())
-    except (OSError, json.JSONDecodeError, structures.StructureError) as exc:
-        raise UsageError(f"cannot read structure {path}: {exc}") from exc
-
-
-def _read_metric(path: str) -> metric.FinMetricSpace:
-    try:
-        return metric.metric_from_json(Path(path).read_text())
-    except (OSError, json.JSONDecodeError, metric.MetricError) as exc:
-        raise UsageError(f"cannot read metric space {path}: {exc}") from exc
+        return from_dict(json.loads(Path(path).read_text()))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _write_file(path: str, text: str) -> None:
@@ -155,20 +93,19 @@ def _parse_set(text: str) -> metric.DistanceSet:
 # subcommands
 
 
-def _cmd_arrow(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_arrow(args: argparse.Namespace) -> int:
     if args.k < 1 or args.t < 1:
         raise UsageError("-k and -t must be >= 1")
-    c = _read_structure(args.C)
-    b = _read_structure(args.B)
-    a = _read_structure(args.A)
+    c, b, a = (_read(path, "structure", structures.structure_from_dict)
+               for path in (args.C, args.B, args.A))
     try:
         if args.oracle:
             holds = arrows.exhaustive_check_arrow(c, b, a, args.k, args.t,
-                                                  budget=config.budget)
+                                                  budget=args.budget)
             verdict = arrows.ArrowVerdict(holds=holds)
         else:
             verdict = arrows.check_arrow(c, b, a, args.k, args.t,
-                                         budget=config.budget)
+                                         budget=args.budget)
     except structures.SignatureMismatchError as exc:
         raise UsageError(f"structures do not fit together: {exc}") from exc
     doc: dict = {
@@ -188,7 +125,7 @@ def _cmd_arrow(args: argparse.Namespace, config: RunConfig) -> int:
         if args.witness_out:
             _write_file(args.witness_out,
                         json.dumps(witness, sort_keys=True, indent=2) + "\n")
-    _emit(doc, config)
+    _emit(doc, args.format)
     if verdict.holds is None:
         return EXIT_UNDECIDED
     return EXIT_OK if verdict.holds else EXIT_FAIL
@@ -199,7 +136,7 @@ def _check_max_size(args: argparse.Namespace) -> None:
         raise UsageError("--max-size must be >= 0")
 
 
-def _cmd_fraisse(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_fraisse(args: argparse.Namespace) -> int:
     klass = _class(args.klass)
     _check_max_size(args)
     if args.amalgam_bound is not None and args.amalgam_bound < 1:
@@ -217,7 +154,7 @@ def _cmd_fraisse(args: argparse.Namespace, config: RunConfig) -> int:
                            else json.loads(json.dumps(report.counterexample))),
         "undecided": len(report.undecided),
     }
-    _emit(doc, config)
+    _emit(doc, args.format)
     if report.undecided and report.holds:
         return EXIT_UNDECIDED
     return EXIT_OK if report.holds else EXIT_FAIL
@@ -249,14 +186,10 @@ def _diagram_from_doc(doc: dict) -> diagrams.StructDiagram:
     return diagrams.StructDiagram(shape, tops, bottoms, tuple(maps))
 
 
-def _cmd_diagram(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_diagram(args: argparse.Namespace) -> int:
     if args.max_tip < 0:
         raise UsageError("--max-tip must be >= 0")
-    try:
-        doc = json.loads(Path(args.infile).read_text())
-        diagram = _diagram_from_doc(doc)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        raise UsageError(f"cannot read diagram {args.infile}: {exc}") from exc
+    diagram = _read(args.infile, "diagram", _diagram_from_doc)
     if not diagram.top_objects:
         raise UsageError(f"diagram {args.infile} has no top objects")
     within: dict = {}
@@ -271,7 +204,7 @@ def _cmd_diagram(args: argparse.Namespace, config: RunConfig) -> int:
     if search.cocone is not None:
         out["tip"] = structures.structure_to_dict(search.cocone.tip)
         out["legs"] = [list(leg.map) for leg in search.cocone.legs]
-    _emit(out, config)
+    _emit(out, args.format)
     if search.status == diagrams.FOUND:
         return EXIT_OK
     if search.status == diagrams.IMPOSSIBLE:
@@ -279,13 +212,13 @@ def _cmd_diagram(args: argparse.Namespace, config: RunConfig) -> int:
     return EXIT_UNDECIDED
 
 
-def _cmd_universe_gen(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_universe_gen(args: argparse.Namespace) -> int:
     try:
         segment = universes.generate(_kind(args.kind), args.n)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     text = (structures.structure_to_dot(segment) if args.dot
-            else _render(structures.structure_to_dict(segment), config))
+            else _render(structures.structure_to_dict(segment), args.format))
     if args.out:
         _write_file(args.out, text)
     else:
@@ -293,7 +226,7 @@ def _cmd_universe_gen(args: argparse.Namespace, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_universe_audit(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_universe_audit(args: argparse.Namespace) -> int:
     kind = _kind(args.kind)
     klass = _class(args.klass)
     _check_max_size(args)
@@ -314,11 +247,11 @@ def _cmd_universe_audit(args: argparse.Namespace, config: RunConfig) -> int:
             for e in report.entries
         ],
     }
-    _emit(doc, config)
+    _emit(doc, args.format)
     return EXIT_OK if report.all_embedded else EXIT_FAIL
 
 
-def _cmd_metric_analyze(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_metric_analyze(args: argparse.Namespace) -> int:
     dset = _parse_set(args.set)
     bp = metric.blocks(dset)
     try:
@@ -338,15 +271,13 @@ def _cmd_metric_analyze(args: argparse.Namespace, config: RunConfig) -> int:
         "four_values_counterexample": (None if four_ce is None
                                        else [metric.frac_str(v) for v in four_ce]),
     }
-    _emit(doc, config)
+    _emit(doc, args.format)
     return EXIT_OK if compact and four else EXIT_FAIL
 
 
-def _cmd_metric_amalgamate(args: argparse.Namespace, config: RunConfig) -> int:
-    m = _read_metric(args.M)
-    mp = _read_metric(args.Mp)
-    mpp = _read_metric(args.Mpp)
-    l = _read_metric(args.L)
+def _cmd_metric_amalgamate(args: argparse.Namespace) -> int:
+    m, mp, mpp, l = (_read(path, "metric space", metric.metric_from_dict)
+                     for path in (args.M, args.Mp, args.Mpp, args.L))
     # convention: the shared space is the initial segment of both sides
     f = tuple(range(m.size))
     g = tuple(range(m.size))
@@ -360,12 +291,12 @@ def _cmd_metric_amalgamate(args: argparse.Namespace, config: RunConfig) -> int:
         "into_first": list(into_p),
         "into_second": list(into_pp),
     }
-    _emit(doc, config)
+    _emit(doc, args.format)
     return EXIT_OK
 
 
-def _cmd_metric_star(args: argparse.Namespace, config: RunConfig) -> int:
-    m = _read_metric(args.infile)
+def _cmd_metric_star(args: argparse.Namespace) -> int:
+    m = _read(args.infile, "metric space", metric.metric_from_dict)
     try:
         star = metric.star_transform(m)
     except metric.MetricError as exc:
@@ -379,7 +310,7 @@ def _cmd_metric_star(args: argparse.Namespace, config: RunConfig) -> int:
         "eps": metric.frac_str(star.choice.eps),
         "zeta": metric.frac_str(star.choice.zeta),
     }
-    _emit(doc, config)
+    _emit(doc, args.format)
     return EXIT_OK
 
 
@@ -387,16 +318,9 @@ def _cmd_metric_star(args: argparse.Namespace, config: RunConfig) -> int:
 # selftest
 
 
-def _selftest_checks() -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
-    from .selftest import all_checks
-
-    return all_checks()
-
-
-def _cmd_selftest(args: argparse.Namespace, config: RunConfig) -> int:
-    checks = _selftest_checks()
+def _cmd_selftest(args: argparse.Namespace) -> int:
     results = []
-    for name, fn in checks:
+    for name, fn in all_checks():
         try:
             passed, detail = fn()
         except Exception as exc:  # a crash is a failure, not an abort
@@ -407,14 +331,14 @@ def _cmd_selftest(args: argparse.Namespace, config: RunConfig) -> int:
         "all_passed": all(r["passed"] for r in results),
         "results": results,
     }
-    if config.fmt == "text":
+    if args.format == "text":
         width = max(len(r["name"]) for r in results)
         for r in results:
             mark = "PASS" if r["passed"] else "FAIL"
             print(f"{r['name']:<{width}}  {mark}  {r['detail']}")
         print(f"selftest: {'all passed' if doc['all_passed'] else 'FAILURES'}")
     else:
-        _emit(doc, config)
+        _emit(doc, args.format)
     return EXIT_OK if doc["all_passed"] else EXIT_FAIL
 
 
@@ -425,9 +349,10 @@ def _cmd_selftest(args: argparse.Namespace, config: RunConfig) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="ramsey-forge",
                      description="finite-structure workbench")
-    parser.add_argument("--config", help="flat key=value configuration file")
-    parser.add_argument("--budget", type=int, help="search-node budget")
-    parser.add_argument("--format", choices=["json", "text"],
+    parser.add_argument("--budget", type=int, default=arrows.DEFAULT_BUDGET,
+                        help="search-node budget of arrow check; with --oracle, "
+                             "the most colorings it enumerates")
+    parser.add_argument("--format", choices=["json", "text"], default="json",
                         help="output format")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -502,8 +427,9 @@ def dispatch(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _resolve_config(args)
-        return args.func(args, config)
+        if args.budget < 1:
+            raise UsageError("budget must be >= 1")
+        return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,5 +1,9 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,8 @@ from ramsey_forge.cli import (
     dispatch,
 )
 from ramsey_forge.structures import structure_to_json
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -78,21 +84,6 @@ class TestArrowCommand:
         _, first = run(capsys, argv)
         _, second = run(capsys, argv)
         assert first == second
-
-    def test_env_budget_override(self, chain_files, capsys, monkeypatch):
-        monkeypatch.setenv("RAMSEY_FORGE_BUDGET", "5")
-        code, _ = run(capsys, ["arrow", "check", "--C", chain_files[6],
-                               "--B", chain_files[3], "--A", chain_files[2],
-                               "-k", "2", "-t", "1"])
-        assert code == EXIT_UNDECIDED
-
-    def test_config_file(self, chain_files, capsys, tmp_path):
-        cfg = tmp_path / "forge.cfg"
-        cfg.write_text("budget=5\nformat=json\n")
-        code, _ = run(capsys, ["--config", str(cfg), "arrow", "check",
-                               "--C", chain_files[6], "--B", chain_files[3],
-                               "--A", chain_files[2], "-k", "2", "-t", "1"])
-        assert code == EXIT_UNDECIDED
 
     def test_deep_instance_reports_a_witness(self, capsys, tmp_path):
         # one branch of the search is 1200 positions deep, past Python's
@@ -349,14 +340,31 @@ class TestUsage:
     def test_bad_distance_set(self, capsys):
         assert dispatch(["metric", "analyze", "--set", "1,0"]) == EXIT_USAGE
 
+    def test_main_exits_64_without_a_traceback(self, chain_files, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ramsey_forge.cli", "arrow", "check",
+             "--C", str(bad), "--B", chain_files[3], "--A", chain_files[2],
+             "-k", "2", "-t", "1"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: cannot read structure ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
 
 class TestBadInputIsUsageError:
     """Bad input exits 64 with one ``error:`` line, never a traceback."""
 
     def usage_error(self, capsys, argv):
         code = dispatch(argv)
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert code == EXIT_USAGE
+        assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         return err
 
@@ -400,30 +408,13 @@ class TestBadInputIsUsageError:
          "--max-size", "2", "--amalgam-bound", "0"],
         ["universe", "audit", "--kind", "rado", "--class", "graphs",
          "--max-size", "-2", "-N", "4"],
+        ["--budget", "0", "universe", "gen", "--kind", "rado", "-n", "4"],
+        ["--budget", "-1", "universe", "gen", "--kind", "rado", "-n", "4"],
     ], ids=["fraisse-negative-max-size", "negative-amalgam-bound",
-            "zero-amalgam-bound", "audit-negative-max-size"])
+            "zero-amalgam-bound", "audit-negative-max-size", "zero-budget",
+            "negative-budget"])
     def test_out_of_range_size(self, capsys, argv):
         self.usage_error(capsys, argv)
-
-    def test_missing_config_file(self, chain_files, capsys, tmp_path):
-        self.usage_error(capsys, ["--config", str(tmp_path / "missing.cfg"),
-                                  "arrow", "check", "--C", chain_files[6],
-                                  "--B", chain_files[3], "--A", chain_files[2],
-                                  "-k", "2", "-t", "1"])
-
-    def test_non_integer_budget_in_config(self, chain_files, capsys, tmp_path):
-        cfg = tmp_path / "forge.cfg"
-        cfg.write_text("budget=abc\n")
-        self.usage_error(capsys, ["--config", str(cfg), "arrow", "check",
-                                  "--C", chain_files[6], "--B", chain_files[3],
-                                  "--A", chain_files[2], "-k", "2", "-t", "1"])
-
-    def test_non_integer_budget_in_env(self, chain_files, capsys, monkeypatch):
-        monkeypatch.setenv("RAMSEY_FORGE_BUDGET", "abc")
-        self.usage_error(capsys, ["arrow", "check", "--C", chain_files[6],
-                                  "--B", chain_files[3], "--A", chain_files[2],
-                                  "-k", "2", "-t", "1"])
-
 
     @staticmethod
     def chain3_doc(**changes):
@@ -460,14 +451,9 @@ class TestBadInputIsUsageError:
         ["fraisse", "check", "--class", "chains", "--property", "AP",
          "--max-size", "2"],
         ["universe", "gen", "--kind", "rado", "-n", "4"],
-    ], ids=["fraisse-check", "universe-gen"])
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_dot_is_no_output_format(self, capsys, tmp_path, command, source):
-        cfg = tmp_path / "forge.cfg"
-        cfg.write_text("format=dot\n")
-        head = (["--format", "dot"] if source == "flag"
-                else ["--config", str(cfg)])
-        self.usage_error(capsys, head + command)
+    ], ids=["flag-fraisse-check", "flag-universe-gen"])
+    def test_dot_is_no_output_format(self, capsys, command):
+        self.usage_error(capsys, ["--format", "dot", *command])
 
     def test_unwritable_gen_out(self, capsys, tmp_path):
         self.usage_error(capsys, ["universe", "gen", "--kind", "rado", "-n", "4",
@@ -502,6 +488,29 @@ class TestBadInputIsUsageError:
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
         self.usage_error(capsys, ["metric", "star", "--in", str(path)])
+
+    @pytest.mark.parametrize("content", [b'{"size": "\xff"}', b"[" * 100_000],
+                             ids=["non-utf8", "deep-json"])
+    @pytest.mark.parametrize("option", ["arrow-check-C", "metric-star-in",
+                                        "metric-amalgamate-L", "diagram-cocone-in"])
+    def test_unreadable_input_file(self, capsys, tmp_path, chain_files, option,
+                                   content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        m = self.metric_file(tmp_path, "m", [[0, 5], [5, 0]])
+        what, argv = {
+            "arrow-check-C": ("structure", [
+                "arrow", "check", "--C", str(bad), "--B", chain_files[3],
+                "--A", chain_files[2], "-k", "2", "-t", "1"]),
+            "metric-star-in": ("metric space", ["metric", "star", "--in", str(bad)]),
+            "metric-amalgamate-L": ("metric space", [
+                "metric", "amalgamate", "--M", m, "--Mp", m, "--Mpp", m,
+                "--L", str(bad)]),
+            "diagram-cocone-in": ("diagram", [
+                "diagram", "cocone", "--in", str(bad), "--max-tip", "4"]),
+        }[option]
+        err = self.usage_error(capsys, argv)
+        assert err.startswith(f"error: cannot read {what} {bad}: ")
 
     def diagram_file(self, tmp_path, tops):
         path = tmp_path / "diagram.json"
