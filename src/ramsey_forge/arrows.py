@@ -34,6 +34,8 @@ DEFAULT_BUDGET = 10 ** 8
 
 # colorings per numpy block in the exhaustive oracle
 _ORACLE_CHUNK = 1 << 18
+# the most colorings the oracle can number as int64 rows 0 .. 2**63 - 1
+_ORACLE_ROWS = 1 << 63
 
 
 class InternalConsistencyError(RuntimeError):
@@ -320,10 +322,11 @@ def exhaustive_check_arrow(c: FinStructure, b: FinStructure, a: FinStructure,
                            ) -> bool | None:
     """Oracle form of :func:`check_arrow` by full coloring enumeration.
 
-    Returns None, without enumerating, when the ``k ** |hom(A, C)|``
-    colorings exceed ``budget``.
+    Returns None (undecided), without enumerating, when the
+    ``k ** |hom(A, C)|`` colorings exceed ``budget`` or the ``2 ** 63`` rows
+    the oracle can number.
     """
-    if k ** len(_hom_for_pattern(a, c)) > budget:
+    if k ** len(_hom_for_pattern(a, c)) > min(budget, _ORACLE_ROWS):
         return None
     return t >= exhaustive_min_degree(c, b, a, k)
 

@@ -351,7 +351,8 @@ def build_parser() -> _Parser:
                      description="finite-structure workbench")
     parser.add_argument("--budget", type=int, default=arrows.DEFAULT_BUDGET,
                         help="search-node budget of arrow check; with --oracle, "
-                             "the most colorings it enumerates")
+                             "the most colorings it enumerates (past 2**63 "
+                             "colorings the oracle is undecided)")
     parser.add_argument("--format", choices=["json", "text"], default="json",
                         help="output format")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -423,10 +424,22 @@ def build_parser() -> _Parser:
     return parser
 
 
+# the parser of every dispatch in this process, built by the first one
+_parser: _Parser | None = None
+
+
 def dispatch(argv: Sequence[str]) -> int:
-    parser = build_parser()
+    """Run one command line and return its exit code.
+
+    Parses with one parser per process, built on the first call and reused
+    after.  Each parse makes a fresh namespace, and help and usage text go
+    to the streams of the moment, so no report depends on earlier calls.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         if args.budget < 1:
             raise UsageError("budget must be >= 1")
         return args.func(args)

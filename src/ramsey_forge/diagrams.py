@@ -23,7 +23,7 @@ amalgam exists.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .catalog import (
@@ -59,22 +59,23 @@ class BinaryDigraph:
     n_top: int
     n_bottom: int
     arrows: tuple[tuple[int, int], ...]  # (bottom source, top target) per arrow
+    _out: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_top < 0 or self.n_bottom < 0:
             raise ValueError("vertex counts must be nonnegative")
-        degree = [0] * self.n_bottom
-        for s, t in self.arrows:
+        out: list[list[int]] = [[] for _ in range(self.n_bottom)]
+        for i, (s, t) in enumerate(self.arrows):
             if not (0 <= s < self.n_bottom and 0 <= t < self.n_top):
                 raise ValueError(f"arrow ({s},{t}) out of range")
-            degree[s] += 1
-        if any(d != 2 for d in degree):
+            out[s].append(i)
+        if any(len(idx) != 2 for idx in out):
             raise ValueError("every bottom vertex must have out-degree exactly 2")
+        object.__setattr__(self, "_out", tuple(map(tuple, out)))
 
     def arrows_of(self, bottom: int) -> tuple[int, int]:
-        """The two arrow indices leaving ``bottom``."""
-        idx = tuple(i for i, (s, _) in enumerate(self.arrows) if s == bottom)
-        return idx  # type: ignore[return-value]
+        """The two arrow indices leaving ``bottom``, in arrow order."""
+        return self._out[bottom]
 
 
 def _least_members(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:

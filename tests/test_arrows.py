@@ -11,6 +11,7 @@ from ramsey_forge.arrows import (
     EmptyHomSetError,
     InternalConsistencyError,
     check_arrow,
+    exhaustive_check_arrow,
     exhaustive_min_degree,
     is_bad_coloring,
     min_degree,
@@ -340,6 +341,13 @@ class TestExhaustiveOracle:
     def test_nothing_to_color_is_zero(self):
         assert exhaustive_min_degree(catalog.chain(2), catalog.chain(2),
                                      catalog.chain(3), 2) == 0
+
+    def test_past_int64_rows_is_undecided(self):
+        # 3^45 colorings of hom(chain2, chain10): within the budget, but
+        # past the 2^63 rows the oracle can number
+        assert exhaustive_check_arrow(catalog.chain(10), catalog.chain(3),
+                                      catalog.chain(2), 3, 1,
+                                      budget=10 ** 23) is None
 
 
 class TestMinDegree:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ramsey_forge import catalog, structures, universes
+from ramsey_forge import catalog, cli, structures, universes
 from ramsey_forge.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -33,6 +33,15 @@ def chain_files(tmp_path):
 def run(capsys, argv):
     code = dispatch(argv)
     return code, capsys.readouterr().out
+
+
+def run_main(argv):
+    """``python -m ramsey_forge.cli`` run fresh on ``argv``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "ramsey_forge.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 class TestArrowCommand:
@@ -69,6 +78,20 @@ class TestArrowCommand:
                                  "--B", chain_files[3], "--A", chain_files[2],
                                  "-k", "40", "-t", "1", "--oracle"])
         assert code == EXIT_UNDECIDED
+        assert json.loads(out)["holds"] is None
+
+    def test_oracle_past_int64_rows_is_undecided(self, chain_files, capsys,
+                                                  tmp_path):
+        # 3^45 colorings of hom(chain2, chain10) are within the budget but
+        # past the 2^63 rows the oracle can number
+        c = tmp_path / "chain10.json"
+        c.write_text(structure_to_json(catalog.chain(10)))
+        code = dispatch(["--budget", str(10 ** 23), "arrow", "check",
+                         "--C", str(c), "--B", chain_files[3],
+                         "--A", chain_files[2], "-k", "3", "-t", "1",
+                         "--oracle"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_UNDECIDED and err == ""
         assert json.loads(out)["holds"] is None
 
     def test_oracle_mode_agrees(self, chain_files, capsys):
@@ -343,18 +366,67 @@ class TestUsage:
     def test_main_exits_64_without_a_traceback(self, chain_files, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b"\xff\xfe")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "ramsey_forge.cli", "arrow", "check",
-             "--C", str(bad), "--B", chain_files[3], "--A", chain_files[2],
-             "-k", "2", "-t", "1"],
-            env=env, capture_output=True, text=True, timeout=120)
+        proc = run_main(["arrow", "check", "--C", str(bad),
+                         "--B", chain_files[3], "--A", chain_files[2],
+                         "-k", "2", "-t", "1"])
         assert proc.returncode == EXIT_USAGE
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: cannot read structure ")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+class TestOneParserPerProcess:
+    def test_parser_is_built_once(self, chain_files, capsys, monkeypatch):
+        build = cli.build_parser
+        builds = []
+
+        def counted():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        codes = [
+            dispatch(["arrow", "check", "--C", chain_files[6],
+                      "--B", chain_files[3], "--A", chain_files[2],
+                      "-k", "2", "-t", "1"]),
+            dispatch(["fraisse", "check", "--class", "chains",
+                      "--property", "AP", "--max-size", "2"]),
+            dispatch(["universe", "gen", "--kind", "rado", "-n", "4"]),
+            dispatch(["universe", "audit", "--kind", "rado", "--class",
+                      "graphs", "--max-size", "2", "-N", "8"]),
+            dispatch(["metric", "analyze", "--set", "0,1,2,5,6"]),
+        ]
+        capsys.readouterr()
+        assert codes == [EXIT_OK] * 5
+        assert len(builds) == 1
+
+    def test_reused_parser_reports_as_fresh_processes(self, chain_files,
+                                                      capsys):
+        holding = ["arrow", "check", "--C", chain_files[6], "--B",
+                   chain_files[3], "--A", chain_files[2], "-k", "2", "-t", "1"]
+        sequence = [
+            holding,
+            ["arrow", "check", "--C", chain_files[6], "--B", chain_files[3],
+             "--A", chain_files[2], "-k", "abc", "-t", "1"],
+            ["arrow", "check", "--C", chain_files[5], "--B", chain_files[3],
+             "--A", chain_files[2], "-k", "2", "-t", "1"],
+            ["--format", "text", "universe", "gen", "--kind", "rado",
+             "-n", "4"],
+            ["fraisse", "check", "--class", "dags", "--property", "AP",
+             "--max-size", "3"],
+            holding,
+        ]
+        in_process = []
+        for argv in sequence:
+            code = dispatch(argv)
+            in_process.append((code, *capsys.readouterr()))
+        fresh = [(proc.returncode, proc.stdout, proc.stderr)
+                 for proc in map(run_main, sequence)]
+        assert [code for code, _, _ in in_process] == [
+            EXIT_OK, EXIT_USAGE, EXIT_FAIL, EXIT_OK, EXIT_FAIL, EXIT_OK]
+        assert "witness" in json.loads(in_process[2][1])
+        assert in_process == fresh
 
 
 class TestBadInputIsUsageError:

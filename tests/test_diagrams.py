@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -67,6 +68,20 @@ class TestBinaryDigraph:
     def test_double_arrow_to_same_top(self):
         shape = BinaryDigraph(2, 1, ((0, 0), (0, 0)))
         assert connected_components(shape) == ((0,), (1,))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_arrows_of_matches_the_scan(self, seed):
+        rng = random.Random(seed)
+        n_top, n_bottom = rng.randint(1, 6), rng.randint(0, 8)
+        arrows = [(b, rng.randrange(n_top)) for b in range(n_bottom)
+                  for _ in range(2)]
+        rng.shuffle(arrows)
+        shape = BinaryDigraph(n_top, n_bottom, tuple(arrows))
+        for b in range(n_bottom):
+            assert shape.arrows_of(b) == tuple(
+                i for i, (s, _) in enumerate(arrows) if s == b)
+        assert shape == BinaryDigraph(n_top, n_bottom, tuple(arrows))
+        assert "_out" not in repr(shape)
 
 
 def chain_span_diagram():
