@@ -172,11 +172,17 @@ def check_arrow(c: FinStructure, b: FinStructure, a: FinStructure,
     e lowers the room of each group of e that already has c by one and
     leaves the other rooms alone, so the child is dead (every completion
     is good) exactly when some group of e is *tight*, with room t + 1, and
-    already has c.  The colors of e's tight groups are OR-ed into a
-    forbidden mask once per position, and each child then costs one bit
-    test.  Live children update per-(color, group) counts, which also undo
-    them; a color's row of counts is made when the color is first used, so
-    there are at most ``min(k, |hom(A, C)|)`` rows.
+    already has c.
+
+    Sets of groups are bitmasks, one bit per group.  Each position holds
+    the mask of the groups of its element, and each used color the mask of
+    the groups that already have it, made when the color is first used, so
+    there are at most ``min(k, |hom(A, C)|)`` of them.  ``levels[s]`` holds
+    the groups whose room is t + 1 + s, so ``levels[0]`` holds the tight
+    ones.  Giving c to e moves the groups of e that have c down one level.
+    The colors of e's tight groups are OR-ed into a forbidden mask once per
+    position, and each child then costs one bit test.  Backtracking
+    restores the color mask and the levels that the position saved.
 
     Every child tried is one node, dead ones included.  A search that needs
     more than ``budget`` nodes stops at node ``budget + 1`` (node 1 for a
@@ -201,22 +207,25 @@ def check_arrow(c: FinStructure, b: FinStructure, a: FinStructure,
     if any(min(len(g), k) <= t for g in groups):
         return ArrowVerdict(holds=True, nodes=0)
 
-    membership: list[list[int]] = [[] for _ in range(n)]
+    member = [0] * n                  # by element: the mask of its groups
+    # levels[s]: the groups whose room is t + 1 + s
+    levels = [0] * (max(map(len, groups)) - t)
     for gi, g in enumerate(groups):
+        bit = 1 << gi
+        levels[len(g) - t - 1] |= bit
         for e in g:
-            membership[e].append(gi)
-    order = sorted(range(n), key=lambda e: (-len(membership[e]), e))
-    at = [membership[e] for e in order]
+            member[e] |= bit
+    order = sorted(range(n), key=lambda e: (-member[e].bit_count(), e))
+    at = [member[e] for e in order]
 
     # every room on the current path is above t
-    room = [len(g) for g in groups]
-    tight = t + 1
-    mask = [0] * len(groups)          # bit c set: color c is on group g
-    count: list[list[int]] = []       # count[c][g]: elements of g colored c
+    has: list[int] = []               # has[c]: the groups that have color c
     colors = [0] * n                  # by element, valid along the path
     chosen = [0] * n                  # by position: the color on the path
     forbid = [0] * n                  # by position: its forbidden mask
     opened = [0] * n                  # by position: colors used before it
+    kept = [0] * n                    # by position: has[color] before it
+    saved: list[list[int]] = [levels] * n  # by position: levels before it
     budget = max(budget, 0)  # the first node is always tried
     nodes = 0
     pos = col = used = forb = 0
@@ -232,15 +241,8 @@ def check_arrow(c: FinStructure, b: FinStructure, a: FinStructure,
             if pos < 0:
                 return ArrowVerdict(holds=True, nodes=nodes)
             col, forb, used = chosen[pos], forbid[pos], opened[pos]
-            bit = 1 << col
-            row = count[col]
-            for g in at[pos]:
-                m = row[g] - 1
-                row[g] = m
-                if m:
-                    room[g] += 1
-                else:
-                    mask[g] ^= bit
+            has[col] = kept[pos]
+            levels = saved[pos]
             col += 1
             continue
         bit = live & -live
@@ -252,24 +254,34 @@ def check_arrow(c: FinStructure, b: FinStructure, a: FinStructure,
         colors[order[pos]] = pick
         if pick == used:
             used += 1
-            if used > len(count):
-                count.append([0] * len(groups))
-        row = count[pick]
-        for g in at[pos]:
-            m = row[g]
-            row[g] = m + 1
-            if m:
-                room[g] -= 1
-            else:
-                mask[g] |= bit
+            if used > len(has):
+                has.append(0)
+        here = at[pos]
+        old = kept[pos] = has[pick]
+        has[pick] = old | here
+        saved[pos] = levels
+        down = here & old
+        if down:
+            # live, so none of these groups is tight: each drops one level
+            levels = levels.copy()
+            s = 1
+            while down:
+                moved = levels[s] & down
+                if moved:
+                    levels[s] ^= moved
+                    levels[s - 1] |= moved
+                    down ^= moved
+                s += 1
         pos += 1
         if pos == n:
             return ArrowVerdict(holds=False, nodes=nodes,
                                 witness=Coloring(hom_ac, k, tuple(colors)))
         forb = col = 0
-        for g in at[pos]:
-            if room[g] == tight:
-                forb |= mask[g]
+        tight = at[pos] & levels[0]
+        if tight:
+            for x in range(used):
+                if has[x] & tight:
+                    forb |= 1 << x
 
 
 def is_bad_coloring(chi: Coloring, b: FinStructure, a: FinStructure,
@@ -287,7 +299,9 @@ def exhaustive_min_degree(c: FinStructure, b: FinStructure, a: FinStructure,
     The arrow ``C -> (B)^A_{k,t}`` holds exactly when ``t >=`` this value.
     Colorings are enumerated as mixed-radix rows (numpy, chunked),
     independently of the pruned search.  Returns 0 when there is nothing to
-    color and ``inf`` when no witness w exists.
+    color and ``inf`` when no witness w exists.  Raises ValueError when the
+    ``k ** |hom(A, C)|`` colorings exceed the ``2 ** 63`` rows the oracle can
+    number.
     """
     hom_ac, hom_bc, groups = _arrow_instance(c, b, a)
     n = len(hom_ac)
@@ -297,6 +311,9 @@ def exhaustive_min_degree(c: FinStructure, b: FinStructure, a: FinStructure,
         return 0
     bound = min(min(k, len(g)) for g in groups)
     total = k ** n
+    if total > _ORACLE_ROWS:
+        raise ValueError(f"{k}**{n} colorings exceed the 2**63 rows the "
+                         "oracle can number")
     powers = np.array([k ** i for i in range(n - 1, -1, -1)], dtype=np.int64)
     worst = 0
     for start in range(0, total, _ORACLE_CHUNK):

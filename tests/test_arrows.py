@@ -189,6 +189,16 @@ class TestCheckArrow:
         assert (huge.holds, huge.nodes) == (same.holds, same.nodes)
         assert huge.witness.assignment == same.witness.assignment
 
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_huge_k_past_maxsize_searches_as_k_equal_to_the_hom_set(self, t):
+        # k does not fit a machine word: nothing may be sized by k
+        c, b, a = catalog.chain(5), catalog.chain(3), catalog.chain(2)
+        n = len(enumerate_embeddings(a, c))
+        huge = check_arrow(c, b, a, 10 ** 30, t)
+        same = check_arrow(c, b, a, n, t)
+        assert (huge.holds, huge.nodes) == (same.holds, same.nodes)
+        assert huge.witness.assignment == same.witness.assignment
+
     def test_deep_instance_needs_no_recursion(self):
         # 1200 positions on one branch, past Python's recursion limit
         c = catalog.path_graph(1200)
@@ -249,6 +259,19 @@ def random_structure(kind, n, rng):
 DECIDED_RUNGS = ((5, 3, 2, 2), (6, 3, 2, 2), (5, 3, 2, 3), (6, 3, 2, 3),
                  (6, 4, 2, 2), (7, 4, 2, 2), (6, 4, 3, 2))
 CAPPED_RUNGS = ((10, 4, 2, 2), (10, 3, 2, 3), (12, 4, 3, 2))
+# (n, b, a, k, t) with t > 1: groups of up to 10 elements, so a room can
+# start six levels above tight
+WIDE_ROOM_CHAINS = ((5, 3, 2, 3, 2), (6, 4, 2, 3, 2), (7, 4, 2, 3, 2),
+                    (6, 4, 3, 3, 2), (7, 5, 3, 3, 2), (6, 4, 2, 4, 2),
+                    (6, 4, 2, 4, 3), (7, 4, 2, 4, 3), (7, 5, 2, 4, 3))
+
+
+def relabelled_chain(n, rng):
+    """chain(n) with its points listed in a seeded random order."""
+    order = list(range(n))
+    rng.shuffle(order)
+    return FinStructure.build(catalog.CHAIN_SIG, n,
+                              {"lt": catalog.linear_order_pairs(order)})
 
 
 class TestSearchAgainstSeed:
@@ -259,10 +282,7 @@ class TestSearchAgainstSeed:
         rng = random.Random(9)
         for n, b, a, k in DECIDED_RUNGS:
             for _ in range(3):
-                order = list(range(n))
-                rng.shuffle(order)
-                c = FinStructure.build(catalog.CHAIN_SIG, n,
-                                       {"lt": catalog.linear_order_pairs(order)})
+                c = relabelled_chain(n, rng)
                 for budget in (50, 500, 10 ** 5):
                     args = (c, catalog.chain(b), catalog.chain(a), k, 1, budget)
                     assert check_arrow(*args) == seed_check_arrow(*args)
@@ -274,6 +294,29 @@ class TestSearchAgainstSeed:
             v = check_arrow(*args)
             assert v.holds is None and v.nodes == 20001
             assert v == seed_check_arrow(*args)
+
+    def test_capped_rungs_relabelled_cut_mid_search(self):
+        # 120 to 495 groups, so the group masks span several machine words
+        rng = random.Random(17)
+        for n, b, a, k in CAPPED_RUNGS:
+            for _ in range(2):
+                args = (relabelled_chain(n, rng), catalog.chain(b),
+                        catalog.chain(a), k, 1, rng.randint(1, 2 * 10 ** 4))
+                v = check_arrow(*args)
+                assert v.holds is None and v == seed_check_arrow(*args)
+
+    def test_wide_rooms_at_t_above_one(self):
+        rng = random.Random(23)
+        decided = 0
+        for n, b, a, k, t in WIDE_ROOM_CHAINS:
+            c = relabelled_chain(n, rng)
+            for budget in (rng.randint(1, 100), 2 * 10 ** 4):
+                args = (c, catalog.chain(b), catalog.chain(a), k, t, budget)
+                v = check_arrow(*args)
+                assert v == seed_check_arrow(*args)
+                decided += v.decided
+        # most short budgets cut the search, most long ones decide it
+        assert 8 <= decided <= 12
 
     @pytest.mark.parametrize("n,b,a,k", [(6, 3, 2, 2), (9, 4, 2, 2),
                                          (7, 4, 3, 2)])
@@ -348,6 +391,12 @@ class TestExhaustiveOracle:
         assert exhaustive_check_arrow(catalog.chain(10), catalog.chain(3),
                                       catalog.chain(2), 3, 1,
                                       budget=10 ** 23) is None
+
+    def test_past_int64_rows_raises_value_error(self):
+        # the same 3^45 colorings, asked for directly
+        with pytest.raises(ValueError, match=r"2\*\*63 rows"):
+            exhaustive_min_degree(catalog.chain(10), catalog.chain(3),
+                                  catalog.chain(2), 3)
 
 
 class TestMinDegree:
