@@ -207,10 +207,12 @@ def _complete_structures(signature: Signature, size: int,
 
     ``covers`` holds, per point, a bitmask of the parts (the tops of a
     pushout) whose image contains it; a tuple is open when no part covers
-    all of its points (the AND of their masks is 0).  Each open binary
-    slot ``x < y`` takes one of ``options(tag, x, y)``, and the slots are
+    all of its points (the AND of their masks is 0).  The open pairs are
+    found once and shared by every binary relation: each open binary slot
+    ``x < y`` takes one of ``options(tag, x, y)``, and the slots are
     enumerated as one product, relation by relation and pair by pair, with
-    each slot's first option first.
+    each slot's first option first.  Each candidate relation is built as
+    one union of its fixed tuples with the options picked for its slots.
 
     Candidates are built without validation: the caller guarantees that
     the tuples of ``base`` on the points of one part are a valid structure
@@ -220,27 +222,27 @@ def _complete_structures(signature: Signature, size: int,
     signature has a linear order, each candidate is validated, and an
     intransitive one is skipped.
     """
-    slot_axes: list[tuple[int, list[tuple[tuple[int, ...], ...]]]] = []
-    for ri, spec in enumerate(signature.relations):
+    open_pairs = [(x, y) for x in range(size) for y in range(x + 1, size)
+                  if not covers[x] & covers[y]]
+    slot_axes: list[list[tuple[tuple[int, ...], ...]]] = []
+    # per relation, its fixed tuples and its run of slot_axes
+    frozen_base: list[tuple[frozenset[tuple[int, ...]], slice]] = []
+    for spec, fixed in zip(signature.relations, base, strict=True):
+        start = len(slot_axes)
         if spec.arity == 2:
-            for x in range(size):
-                for y in range(x + 1, size):
-                    if not covers[x] & covers[y]:
-                        slot_axes.append((ri, options(spec.tag, x, y)))
+            slot_axes += [options(spec.tag, x, y) for x, y in open_pairs]
         else:
             for t in itertools.product(range(size), repeat=spec.arity):
                 mask = -1
                 for p in t:
                     mask &= covers[p]
                 if not mask:
-                    slot_axes.append((ri, [(), (t,)]))
+                    slot_axes.append([(), (t,)])
+        frozen_base.append((frozenset(fixed), slice(start, len(slot_axes))))
     trusted = all(spec.tag != TAG_LINEAR for spec in signature.relations)
 
-    for choice in itertools.product(*(opts for _, opts in slot_axes)):
-        rels = [set(b) for b in base]
-        for (ri, _), picked in zip(slot_axes, choice):
-            rels[ri].update(picked)
-        relations = tuple(frozenset(r) for r in rels)
+    for choice in itertools.product(*slot_axes):
+        relations = tuple([b.union(*choice[run]) for b, run in frozen_base])
         if trusted:
             candidate = FinStructure(signature, size, relations, _checked=True)
         else:

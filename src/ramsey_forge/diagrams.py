@@ -80,20 +80,27 @@ class BinaryDigraph:
 
 def _least_members(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     """Per point of ``range(n)``, the least member of its class under the
-    equivalence the pairs generate (union-find with path halving)."""
-    parent = list(range(n))
+    equivalence the pairs generate.
 
-    def find(x: int) -> int:
+    Union-find with path halving that hangs the larger root under the
+    smaller, so every parent is at most its child, and one pass upward,
+    each point taking the root of its parent, reads off the least
+    members."""
+    parent = list(range(n))
+    for x, y in pairs:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
-        return x
-
-    for x, y in pairs:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-    return [find(x) for x in range(n)]
+        while parent[y] != y:
+            parent[y] = parent[parent[y]]
+            y = parent[y]
+        if x < y:
+            parent[y] = x
+        elif y < x:
+            parent[x] = y
+    for x in range(n):
+        parent[x] = parent[parent[x]]
+    return parent
 
 
 def connected_components(shape: BinaryDigraph) -> tuple[tuple[int, ...], ...]:
@@ -187,7 +194,11 @@ def _forced_quotient(tops: Sequence[FinStructure],
 
     A glue entry ``(i, u, j, v)`` says that point ``u[x]`` of top ``i`` is
     point ``v[x]`` of top ``j``; tip points are numbered in order of first
-    appearance, top by top.  Checked in this order, the result is
+    appearance, top by top.  That numbering is read straight off the
+    union-find roots of the points of the disjoint union: a root is the
+    least member of its class, so it comes first, and a point is new
+    exactly when it is its own root; each leg is a slice of the numbering.
+    Checked in this order, the result is
     :data:`IMPOSSIBLE` when two points of one top merge,
     :data:`NONE_WITHIN_BOUND` when the quotient has more than ``bound``
     points, and :data:`IMPOSSIBLE` when a tuple of one top lands in another
@@ -198,41 +209,53 @@ def _forced_quotient(tops: Sequence[FinStructure],
 
     The legs are certified in two steps instead of one embedding test per
     leg.  Once per quotient: the forced tuples agree with every top on its
-    image; only a tuple whose points are all glued can lie in two tops'
-    images, so only those are looked up.  Once per completion: the tip
-    keeps every forced tuple and adds none inside one top's image.  Each
-    leg is injective, so it then preserves and reflects every relation,
-    and a completion that fails raises :class:`StructureError`.
+    image; only a tuple whose points are all shared (in two or more tops'
+    images, the glued points) can lie in two tops' images, so only those
+    are looked up, and the inverse legs are built only when one does.
+    Once per completion: the tip keeps every forced tuple and adds none
+    inside one top's image.  Each leg is injective, so it then preserves
+    and reflects every relation, and a completion that fails raises
+    :class:`StructureError`.
     """
     offsets = list(itertools.accumulate((s.size for s in tops), initial=0))
-    roots = _least_members(offsets[-1], ((offsets[i] + p, offsets[j] + q)
-                                         for i, u, j, v in glue
-                                         for p, q in zip(u, v)))
-    number: dict[int, int] = {}
+    number = _least_members(offsets[-1], ((offsets[i] + p, offsets[j] + q)
+                                          for i, u, j, v in glue
+                                          for p, q in zip(u, v)))
+    # each root is below the rest of its class, so it is numbered before
+    # them: overwrite roots by tip numbers in one pass upward
+    size = 0
+    for x, root in enumerate(number):
+        if root == x:
+            number[x] = size
+            size += 1
+        else:
+            number[x] = number[root]
     legs = []
     for ti, s in enumerate(tops):
-        leg = tuple(number.setdefault(roots[offsets[ti] + v], len(number))
-                    for v in range(s.size))
+        leg = tuple(number[offsets[ti]:offsets[ti + 1]])
         if len(set(leg)) != s.size:
             return IMPOSSIBLE
         legs.append(leg)
-    size = len(number)
     if bound is not None and size > bound:
         return NONE_WITHIN_BOUND
     covers = [0] * size
     for ti, leg in enumerate(legs):
         for p in leg:
             covers[p] |= 1 << ti
-    inverses = [{p: v for v, p in enumerate(leg)} for leg in legs]
-    base: list[set[tuple[int, ...]]] = []
+    shared = {p for p, m in enumerate(covers) if m & (m - 1)}
+    inverses = None
+    base: list[frozenset[tuple[int, ...]]] = []
     for ri in range(len(tops[0].relations)):
-        forced = {tuple(leg[v] for v in t)
-                  for s, leg in zip(tops, legs) for t in s.relations[ri]}
-        for image in forced:
+        forced = frozenset([tuple(map(leg.__getitem__, t))
+                            for s, leg in zip(tops, legs)
+                            for t in s.relations[ri]])
+        for image in filter(shared.issuperset, forced):
             inside = -1
             for p in image:
                 inside &= covers[p]
             if inside & (inside - 1):
+                if inverses is None:
+                    inverses = [{p: v for v, p in enumerate(leg)} for leg in legs]
                 for tj, inv in enumerate(inverses):
                     if (inside >> tj & 1 and tuple(inv[p] for p in image)
                             not in tops[tj].relations[ri]):
@@ -242,14 +265,14 @@ def _forced_quotient(tops: Sequence[FinStructure],
     # the glued ones, so every amalgam found is a strong one
     assert all(legs[i][p] == legs[j][q]
                for i, u, j, v in glue for p, q in zip(u, v))
-    assert ({p for p, m in enumerate(covers) if m & (m - 1)}
-            == {legs[i][p] for i, u, j, _ in glue if i != j for p in u})
+    assert shared == {legs[i][p] for i, u, j, _ in glue if i != j for p in u}
     signature = tops[0].signature
 
     def certified() -> Iterator[tuple[FinStructure, tuple[Embedding, ...]]]:
         for tip in _complete_structures(signature, size, base, covers,
                                         predicate, options):
-            if tip.signature != signature or tip.size != size:
+            if (not (tip.signature is signature or tip.signature == signature)
+                    or tip.size != size):
                 raise StructureError(f"completion {tip!r} is not on the quotient")
             for forced, tuples in zip(base, tip.relations):
                 if not forced <= tuples:
@@ -322,8 +345,9 @@ def _span_quotient(a: FinStructure, b: FinStructure, c: FinStructure,
                    options: Callable[[str, int, int], list] = _slot_options
                    ) -> str | Iterator[tuple[FinStructure, tuple[Embedding, ...]]]:
     """The engine on the span ``B <-f- A -g-> C``, glued along A."""
-    if f.source != a or g.source != a or f.target != b or g.target != c:
-        raise StructureError("amalgamate: span embeddings do not match A, B, C")
+    for x, y in ((f.source, a), (g.source, a), (f.target, b), (g.target, c)):
+        if not (x is y or x == y):
+            raise StructureError("amalgamate: span embeddings do not match A, B, C")
     return _forced_quotient((b, c), [(0, f.map, 1, g.map)], bound, predicate,
                             options)
 

@@ -9,6 +9,11 @@ arrow search as first written, the reference for the rewritten search; it
 shares only the instance builder ``_arrow_instance`` with the library.
 ``seed_embedding_search`` is the embedding search as first written, the
 reference for the bitset search; it shares nothing with the library.
+``seed_complete_structures`` and ``seed_forced_quotient`` (with its
+numbering ``_seed_least_members``) are the relation completer and the
+forced-quotient engine as first written, the references for the rewritten
+ones; besides the structure types they share only the default slot options
+``_slot_options`` and the status names with the library.
 ``random_mixed`` draws seeded structures with a unary, a ternary and a
 looped binary relation, the less common cases of the embedding search
 and of the canonical key.
@@ -24,7 +29,7 @@ import dataclasses
 import functools
 import itertools
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import pytest
 
@@ -35,7 +40,11 @@ from ramsey_forge.arrows import (
     Coloring,
     _arrow_instance,
 )
+from ramsey_forge.catalog import _slot_options
+from ramsey_forge.diagrams import IMPOSSIBLE, NONE_WITHIN_BOUND
 from ramsey_forge.structures import (
+    TAG_LINEAR,
+    Embedding,
     FinStructure,
     Signature,
     SignatureMismatchError,
@@ -509,3 +518,184 @@ def seed_embedding_search(a: FinStructure, b: FinStructure
             assignment[v] = -1
 
     yield from extend(0)
+
+
+def seed_complete_structures(signature: Signature, size: int,
+                             base: list[set[tuple[int, ...]]], covers: list[int],
+                             predicate: Callable[[FinStructure], bool] | None,
+                             options: Callable[[str, int, int], list] = _slot_options
+                             ) -> Iterator[FinStructure]:
+    """``catalog._complete_structures`` as first written: the reference for
+    the rewritten completer, which must yield the same candidates in the
+    same order.  Kept verbatim below this paragraph.
+
+    All valid structures extending the fixed tuples ``base``.
+
+    ``covers`` holds, per point, a bitmask of the parts (the tops of a
+    pushout) whose image contains it; a tuple is open when no part covers
+    all of its points (the AND of their masks is 0).  Each open binary
+    slot ``x < y`` takes one of ``options(tag, x, y)``, and the slots are
+    enumerated as one product, relation by relation and pair by pair, with
+    each slot's first option first.
+
+    Candidates are built without validation: the caller guarantees that
+    the tuples of ``base`` on the points of one part are a valid structure
+    and that they agree wherever two parts meet, and every option is valid
+    for its tag on its own, so each pair of points carries valid tuples.
+    Transitivity is the one condition on three points.  So when the
+    signature has a linear order, each candidate is validated, and an
+    intransitive one is skipped.
+    """
+    slot_axes: list[tuple[int, list[tuple[tuple[int, ...], ...]]]] = []
+    for ri, spec in enumerate(signature.relations):
+        if spec.arity == 2:
+            for x in range(size):
+                for y in range(x + 1, size):
+                    if not covers[x] & covers[y]:
+                        slot_axes.append((ri, options(spec.tag, x, y)))
+        else:
+            for t in itertools.product(range(size), repeat=spec.arity):
+                mask = -1
+                for p in t:
+                    mask &= covers[p]
+                if not mask:
+                    slot_axes.append((ri, [(), (t,)]))
+    trusted = all(spec.tag != TAG_LINEAR for spec in signature.relations)
+
+    for choice in itertools.product(*(opts for _, opts in slot_axes)):
+        rels = [set(b) for b in base]
+        for (ri, _), picked in zip(slot_axes, choice):
+            rels[ri].update(picked)
+        relations = tuple(frozenset(r) for r in rels)
+        if trusted:
+            candidate = FinStructure(signature, size, relations, _checked=True)
+        else:
+            try:
+                candidate = FinStructure(signature, size, relations)
+            except StructureError:
+                continue
+        if predicate is not None and not predicate(candidate):
+            continue
+        yield candidate
+
+
+
+def _seed_least_members(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """``diagrams._least_members`` as first written, kept verbatim below
+    this paragraph.
+
+    Per point of ``range(n)``, the least member of its class under the
+    equivalence the pairs generate (union-find with path halving)."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in pairs:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+    return [find(x) for x in range(n)]
+
+
+
+def seed_forced_quotient(tops: Sequence[FinStructure],
+                         glue: Sequence[tuple[int, Sequence[int], int, Sequence[int]]],
+                         bound: int | None,
+                         predicate: Callable[[FinStructure], bool] | None,
+                         options: Callable[[str, int, int], list] = _slot_options
+                         ) -> str | Iterator[tuple[FinStructure, tuple[Embedding, ...]]]:
+    """``diagrams._forced_quotient`` as first written, with its numbering
+    ``_seed_least_members``: the reference for the rewritten engine.
+
+    Kept verbatim below this paragraph, except that it completes with
+    ``seed_complete_structures``: ``_forced_quotient`` must return the same
+    status, or the same completions and legs in the same order.
+
+    Completions of the quotient of the disjoint union of ``tops`` by the
+    glue, each with one certified leg per top, in the completer's order.
+
+    A glue entry ``(i, u, j, v)`` says that point ``u[x]`` of top ``i`` is
+    point ``v[x]`` of top ``j``; tip points are numbered in order of first
+    appearance, top by top.  Checked in this order, the result is
+    :data:`IMPOSSIBLE` when two points of one top merge,
+    :data:`NONE_WITHIN_BOUND` when the quotient has more than ``bound``
+    points, and :data:`IMPOSSIBLE` when a tuple of one top lands in another
+    top's image where that top says it is absent.  A tuple inside one top's
+    image is determined by that top; ``covers[p]`` is the bitmask of the
+    tops whose image contains tip point ``p``.  Open slots take
+    ``options(tag, x, y)``.
+
+    The legs are certified in two steps instead of one embedding test per
+    leg.  Once per quotient: the forced tuples agree with every top on its
+    image; only a tuple whose points are all glued can lie in two tops'
+    images, so only those are looked up.  Once per completion: the tip
+    keeps every forced tuple and adds none inside one top's image.  Each
+    leg is injective, so it then preserves and reflects every relation,
+    and a completion that fails raises :class:`StructureError`.
+    """
+    offsets = list(itertools.accumulate((s.size for s in tops), initial=0))
+    roots = _seed_least_members(offsets[-1], ((offsets[i] + p, offsets[j] + q)
+                                              for i, u, j, v in glue
+                                              for p, q in zip(u, v)))
+    number: dict[int, int] = {}
+    legs = []
+    for ti, s in enumerate(tops):
+        leg = tuple(number.setdefault(roots[offsets[ti] + v], len(number))
+                    for v in range(s.size))
+        if len(set(leg)) != s.size:
+            return IMPOSSIBLE
+        legs.append(leg)
+    size = len(number)
+    if bound is not None and size > bound:
+        return NONE_WITHIN_BOUND
+    covers = [0] * size
+    for ti, leg in enumerate(legs):
+        for p in leg:
+            covers[p] |= 1 << ti
+    inverses = [{p: v for v, p in enumerate(leg)} for leg in legs]
+    base: list[set[tuple[int, ...]]] = []
+    for ri in range(len(tops[0].relations)):
+        forced = {tuple(leg[v] for v in t)
+                  for s, leg in zip(tops, legs) for t in s.relations[ri]}
+        for image in forced:
+            inside = -1
+            for p in image:
+                inside &= covers[p]
+            if inside & (inside - 1):
+                for tj, inv in enumerate(inverses):
+                    if (inside >> tj & 1 and tuple(inv[p] for p in image)
+                            not in tops[tj].relations[ri]):
+                        return IMPOSSIBLE
+        base.append(forced)
+    # the legs commute on the glue, and the points in two tops' images are
+    # the glued ones, so every amalgam found is a strong one
+    assert all(legs[i][p] == legs[j][q]
+               for i, u, j, v in glue for p, q in zip(u, v))
+    assert ({p for p, m in enumerate(covers) if m & (m - 1)}
+            == {legs[i][p] for i, u, j, _ in glue if i != j for p in u})
+    signature = tops[0].signature
+
+    def certified() -> Iterator[tuple[FinStructure, tuple[Embedding, ...]]]:
+        for tip in seed_complete_structures(signature, size, base, covers,
+                                            predicate, options):
+            if tip.signature != signature or tip.size != size:
+                raise StructureError(f"completion {tip!r} is not on the quotient")
+            for forced, tuples in zip(base, tip.relations):
+                if not forced <= tuples:
+                    raise StructureError(f"completion {tip!r} drops a forced tuple")
+                for t in tuples - forced:
+                    inside = -1
+                    for p in t:
+                        inside &= covers[p]
+                    if inside:
+                        raise StructureError(
+                            f"completion {tip!r} adds {t} inside a top's image")
+            yield tip, tuple([Embedding(s, tip, m, _checked=True)
+                              for s, m in zip(tops, legs)])
+
+    return certified()
+

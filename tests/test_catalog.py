@@ -7,9 +7,19 @@ import random
 import pytest
 
 from ramsey_forge import catalog
-from ramsey_forge.structures import FinStructure, StructureError, canonical_key
+from ramsey_forge.structures import (
+    TAG_LINEAR,
+    FinStructure,
+    StructureError,
+    canonical_key,
+)
 
-from conftest import brute_force_canonical_key, random_mixed
+from conftest import (
+    MIXED_SIG,
+    brute_force_canonical_key,
+    random_mixed,
+    seed_complete_structures,
+)
 
 
 def assert_same_partition(structs):
@@ -202,3 +212,114 @@ def test_acyclic_needs_no_recursion():
     path = [(i, i + 1) for i in range(n - 1)]
     assert catalog.is_acyclic(catalog.oriented_graph(n, path))
     assert not catalog.is_acyclic(catalog.oriented_graph(n, path + [(n - 1, 0)]))
+
+
+# ---------------------------------------------------------------------------
+# the relation completer against the completer as first written
+
+# the options ``catalog._gen`` completes linearly ordered posets with: omega
+# is the natural order and po may only agree with it
+LOPS_OPTIONS = (lambda tag, x, y: [((x, y),)] if tag == TAG_LINEAR
+                else [(), ((x, y),)])
+
+
+def assert_same_candidates(signature, size, base, covers, predicate, options,
+                           limit=None):
+    """The completer and ``seed_complete_structures`` yield the same
+    candidates in the same order (the first ``limit`` of them)."""
+    def run(complete):
+        out = complete(signature, size, [set(b) for b in base], list(covers),
+                       predicate, options)
+        return [(s.signature, s.size, s.relations)
+                for s in itertools.islice(out, limit)]
+
+    assert run(catalog._complete_structures) == run(seed_complete_structures)
+
+
+def random_base(rng, klass, n, parts):
+    """Covers of n points by up to ``parts`` parts (a point may lie in
+    none) and the fixed tuples of a random structure on those points that
+    lie inside one part: one option of the class per pair, and a shuffled
+    order for a linear order, so every part carries valid tuples and two
+    parts agree where they meet."""
+    covers = [rng.randrange(1 << parts) for _ in range(n)]
+    base = []
+    for spec in klass.signature.relations:
+        if spec.tag == TAG_LINEAR:
+            tuples = catalog.linear_order_pairs(rng.sample(range(n), n))
+        else:
+            tuples = [t for x, y in itertools.combinations(range(n), 2)
+                      for t in rng.choice(klass.options(spec.tag, x, y))]
+        base.append({t for t in tuples if covers[t[0]] & covers[t[1]]})
+    return base, covers
+
+
+def has_linear_order(klass):
+    return any(spec.tag == TAG_LINEAR for spec in klass.signature.relations)
+
+
+@pytest.mark.parametrize("name", sorted(catalog.CLASSES))
+def test_completer_matches_the_seed_completer_on_members(name):
+    """Every completion of the empty structure, with the class's options
+    and predicate: on up to 3 points for classes with a linear order (the
+    validated path), on up to 4 for the others."""
+    klass = catalog.CLASSES[name]
+    for n in range(4 if has_linear_order(klass) else 5):
+        assert_same_candidates(klass.signature, n,
+                               [set() for _ in klass.signature.relations],
+                               [0] * n, klass.predicate, klass.options)
+
+
+@pytest.mark.parametrize("name", sorted(catalog.CLASSES))
+def test_completer_matches_the_seed_completer_on_seeded_bases(name):
+    """Seeded fixed tuples and covers of up to 5 points (4 with a linear
+    order) in 1 to 3 parts, with and without the class predicate: the first
+    200 candidates."""
+    klass = catalog.CLASSES[name]
+    top = 4 if has_linear_order(klass) else 5
+    rng = random.Random(name)
+    for _ in range(30):
+        n, parts = rng.randint(0, top), rng.randint(1, 3)
+        base, covers = random_base(rng, klass, n, parts)
+        for predicate in (None, klass.predicate):
+            assert_same_candidates(klass.signature, n, base, covers,
+                                   predicate, klass.options, limit=200)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_completer_matches_the_seed_completer_on_mixed_signature(seed):
+    """Unary and ternary open slots next to a binary relation with loops:
+    covers of up to 3 points in 1 to 3 parts, a point in no part opening
+    its unary slot; the first 300 candidates."""
+    rng = random.Random(seed)
+    n, parts = rng.randint(0, 3), rng.randint(1, 3)
+    world = random_mixed(rng, n)
+    covers = [rng.randrange(1 << parts) for _ in range(n)]
+
+    def inside(t):
+        mask = -1
+        for p in t:
+            mask &= covers[p]
+        return mask
+
+    base = [{t for t in tuples if inside(t)} for tuples in world.relations]
+    for predicate in (None, lambda s: len(s.relations[1]) % 2 == 0):
+        assert_same_candidates(MIXED_SIG, n, base, covers, predicate,
+                               catalog._slot_options, limit=300)
+
+
+def test_completer_matches_the_seed_completer_on_lops_member_options():
+    """The options ``catalog._gen`` lists linearly ordered posets with, on
+    the validated path for linear orders: every completion of up to 5
+    points, and seeded bases of up to 4."""
+    lops = catalog.CLASSES["linearly-ordered-posets"]
+    for n in range(6):
+        assert_same_candidates(catalog.LOPOSET_SIG, n, [set(), set()], [0] * n,
+                               catalog.is_linearly_ordered_poset, LOPS_OPTIONS)
+    rng = random.Random(5)
+    for _ in range(20):
+        n, parts = rng.randint(0, 4), rng.randint(1, 3)
+        base, covers = random_base(rng, lops, n, parts)
+        assert_same_candidates(catalog.LOPOSET_SIG, n, base, covers,
+                               catalog.is_linearly_ordered_poset, LOPS_OPTIONS,
+                               limit=200)

@@ -35,13 +35,17 @@ from ramsey_forge.structures import (
     are_isomorphic,
     enumerate_embeddings,
     is_embedding,
+    restriction,
 )
 
 from conftest import (
+    MIXED_SIG,
     brute_force_acyclic,
     brute_force_oriented_amalgam,
     brute_force_permutational,
     every_instance_class_property,
+    random_mixed,
+    seed_forced_quotient,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -82,6 +86,58 @@ class TestBinaryDigraph:
                 i for i, (s, _) in enumerate(arrows) if s == b)
         assert shape == BinaryDigraph(n_top, n_bottom, tuple(arrows))
         assert "_out" not in repr(shape)
+
+
+def brute_force_least_members(n, pairs):
+    """Per point, the least member of its connected component in the graph
+    the pairs span, by breadth-first search from each point in turn."""
+    near = [set() for _ in range(n)]
+    for x, y in pairs:
+        near[x].add(y)
+        near[y].add(x)
+    least = [None] * n
+    for start in range(n):
+        if least[start] is None:
+            least[start] = start
+            queue = [start]
+            for x in queue:  # grows while it is read
+                for y in near[x]:
+                    if least[y] is None:
+                        least[y] = start
+                        queue.append(y)
+    return least
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_least_members_match_the_closure(seed):
+    """Seeded pair lists with repeats, self-pairs and, for every fourth
+    seed, a long chain through all points in shuffled order."""
+    rng = random.Random(seed)
+    n = rng.randint(0, 60)
+    pairs = []
+    for _ in range(rng.randint(0, n)):
+        kind = rng.random()
+        if kind < 0.2:
+            x = rng.randrange(n)
+            pairs.append((x, x))
+        elif kind < 0.4 and pairs:
+            pairs.append(rng.choice(pairs)[::rng.choice((1, -1))])
+        else:
+            pairs.append((rng.randrange(n), rng.randrange(n)))
+    if seed % 4 == 0:
+        order = rng.sample(range(n), n)
+        pairs += zip(order, order[1:])
+        rng.shuffle(pairs)
+    assert diagrams._least_members(n, iter(pairs)) \
+        == brute_force_least_members(n, pairs)
+
+
+@pytest.mark.parametrize("step", [1, -1])
+def test_least_members_of_a_long_chain(step):
+    n = 3000
+    points = list(range(n))[::step]
+    assert diagrams._least_members(n, zip(points, points[1:])) == [0] * n
+    assert diagrams._least_members(n, zip(points[1:], points)) == [0] * n
 
 
 def chain_span_diagram():
@@ -440,6 +496,134 @@ def test_forged_completion_is_rejected(flags):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "rejected\n" * 4
+
+
+# ---------------------------------------------------------------------------
+# the forced-quotient engine against the engine as first written
+
+
+def engine_results(engine, tops, glue, bound, predicate, options):
+    """The engine's status, or its first three tips with their legs."""
+    result = engine(tops, glue, bound, predicate, options)
+    if isinstance(result, str):
+        return result
+    return [(tip, [(leg.source, leg.target, leg.map) for leg in legs])
+            for tip, legs in itertools.islice(result, 3)]
+
+
+def assert_same_engine_results(*args):
+    expected = engine_results(seed_forced_quotient, *args)
+    assert engine_results(diagrams._forced_quotient, *args) == expected
+    return expected
+
+
+@pytest.mark.parametrize("name", sorted(catalog.CLASSES))
+def test_engine_matches_the_seed_engine_on_every_small_span(name):
+    """Every AP and JEP span of members of up to 3 points, with the class's
+    predicate and options, bounded by the pushout's size and by one less."""
+    klass = catalog.CLASSES[name]
+    members = klass.members_up_to(3)
+    statuses = set()
+    for a in (diagrams._empty_structure(klass.signature),) + members:
+        for b, c in itertools.product(members, repeat=2):
+            size = b.size + c.size - a.size
+            for f, g in itertools.product(enumerate_embeddings(a, b),
+                                          enumerate_embeddings(a, c)):
+                for bound in (size, size - 1):
+                    result = assert_same_engine_results(
+                        (b, c), [(0, f.map, 1, g.map)], bound,
+                        klass.predicate, klass.options)
+                    statuses.add(result if isinstance(result, str)
+                                 else FOUND if result else EXHAUSTED)
+    assert statuses == ({FOUND, EXHAUSTED, NONE_WITHIN_BOUND} if name == "dags"
+                        else {FOUND, NONE_WITHIN_BOUND})
+
+
+def random_world(rng, name, n):
+    """A random structure on n points whose restrictions are valid tops for
+    the class ``name`` (or for ``MIXED_SIG``, as ``"mixed"``)."""
+    if name == "mixed":
+        return random_mixed(rng, n)
+    order = rng.sample(range(n), n)
+    pairs = [(order[i], order[j])
+             for i, j in itertools.combinations(range(n), 2)]
+    if name in ("graphs", "triangle-free"):
+        return catalog.graph(n, [p for p in pairs if rng.random() < 0.5])
+    if name == "tournaments":
+        return catalog.oriented_graph(
+            n, [p[::rng.choice((1, -1))] for p in pairs])
+    if name == "oriented-graphs":
+        return catalog.oriented_graph(
+            n, [p[::rng.choice((1, -1))] for p in pairs if rng.random() < 0.6])
+    arcs = {p for p in pairs if rng.random() < 0.5}  # forward in the listing
+    if name == "dags":
+        return catalog.oriented_graph(n, arcs)
+    for z in range(n):  # posets: the transitive closure
+        arcs |= {(x, y) for x, w in arcs if w == z for v, y in arcs if v == z}
+    return FinStructure.build(catalog.POSET_SIG, n, {"po": arcs})
+
+
+def seeded_diagram(rng, world):
+    """3 or 4 tops cut from the world and glue that the world backs, except
+    that some glue entries have their second half rotated."""
+    n = world.size
+    subsets = [sorted(rng.sample(range(n), rng.randint(1, min(4, n))))
+               for _ in range(rng.randint(3, 4))]
+    glue = []
+    for _ in range(rng.randint(1, 4)):
+        i, j = rng.randrange(len(subsets)), rng.randrange(len(subsets))
+        common = sorted(set(subsets[i]) & set(subsets[j]))
+        if not common:
+            continue
+        points = rng.sample(common, rng.randint(1, len(common)))
+        u = tuple(subsets[i].index(w) for w in points)
+        v = tuple(subsets[j].index(w) for w in points)
+        if rng.random() < 0.5:
+            v = v[1:] + v[:1]
+        glue.append((i, u, j, v))
+    return [restriction(world, sub) for sub in subsets], glue
+
+
+@pytest.mark.parametrize("name", ["dags", "graphs", "mixed", "oriented-graphs",
+                                  "posets", "tournaments", "triangle-free"])
+def test_engine_matches_the_seed_engine_on_seeded_diagrams(name):
+    """Seeded diagrams of 3 or 4 tops: glue chained across tops, bottoms
+    glued twice into one top, merges inside one top and contradictory
+    tuples (both impossible), and bounds of the quotient's size, one less
+    and none.  The class predicate is used on quotients of up to 4 points,
+    so that a search that rejects every candidate stays small."""
+    klass = catalog.CLASSES.get(name)
+    options = klass.options if klass else catalog._slot_options
+    rng = random.Random(name)
+    seen = set()
+    for _ in range(150):
+        world = random_world(rng, name, rng.randint(3, 6))
+        tops, glue = seeded_diagram(rng, world)
+        offsets = list(itertools.accumulate((t.size for t in tops), initial=0))
+        least = brute_force_least_members(offsets[-1], [
+            (offsets[i] + p, offsets[j] + q)
+            for i, u, j, v in glue for p, q in zip(u, v)])
+        size = sum(x == r for x, r in enumerate(least))
+        merged = any(len(set(least[offsets[i]:offsets[i + 1]])) < t.size
+                     for i, t in enumerate(tops))
+        predicate = klass.predicate if klass and size <= 4 else None
+        glued_tops = brute_force_least_members(
+            len(tops), [(i, j) for i, _, j, _ in glue])
+        if any(glued_tops.count(r) >= 3 for r in glued_tops):
+            seen.add("chained")
+        if any(i == j for i, _, j, _ in glue):
+            seen.add("twice into one top")
+        for bound in (None, size, size - 1):
+            result = assert_same_engine_results(tops, glue, bound, predicate,
+                                                options)
+            if result == IMPOSSIBLE:
+                seen.add("merge" if merged else "contradiction")
+            elif isinstance(result, str):
+                seen.add(result)
+            else:
+                seen.add(FOUND if result else EXHAUSTED)
+    assert {"chained", "twice into one top", "merge", "contradiction",
+            NONE_WITHIN_BOUND, FOUND} <= seen
 
 
 def test_dags_are_not_a_fraisse_age():
