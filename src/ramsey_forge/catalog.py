@@ -1,7 +1,7 @@
 """Builders for common finite structures and enumerable structure classes.
 
 A :class:`StructClass` packages a signature, a membership predicate, an
-iso-class generator and the options its members' open slots can take; the
+iso-class generator and the shapes its members' open slots can take; the
 amalgamation-property checkers and universality audits quantify over these.
 
 This module also holds the one relation completer, which fills every open
@@ -14,9 +14,11 @@ with it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import itemgetter
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .structures import (
     TAG_LINEAR,
@@ -175,62 +177,65 @@ def is_linearly_ordered_poset(s: FinStructure) -> bool:
 # relation completion: class members, amalgams and cocone tips
 
 
-def _slot_options(tag: str, x: int, y: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Candidate tuple sets for one open binary slot, sparsest first."""
-    if tag == TAG_SYMMETRIC:
-        return [(), ((x, y), (y, x))]
-    if tag == TAG_LINEAR:
-        return [((x, y),), ((y, x),)]
-    if tag == TAG_ORIENTED:
-        return [(), ((x, y),), ((y, x),)]
-    return [(), ((x, y),), ((y, x),), ((x, y), (y, x))]
-
-
-def _tournament_options(tag: str, x: int, y: int) -> list[tuple[tuple[int, ...], ...]]:
-    """A tournament has an arc on every pair."""
-    return _slot_options(tag, x, y)[1:]
-
-
-def _order_options(tag: str, x: int, y: int) -> list[tuple[tuple[int, ...], ...]]:
-    """A strict order has no two-way pair: a ``none``-tagged relation, the
-    order of posets and lops, drops it; other tags keep their options."""
-    options = _slot_options(tag, x, y)
-    return options[:-1] if tag == TAG_NONE else options
+# the shapes of an open slot x < y: no tuple, (x, y), (y, x) or both
+NONE, FORWARD, BACKWARD, BOTH = range(4)
+# per binary tag, the shapes its open slots try, sparsest first
+DEFAULT_OPTIONS: Mapping[str, tuple[int, ...]] = MappingProxyType({
+    TAG_SYMMETRIC: (NONE, BOTH),
+    TAG_LINEAR: (FORWARD, BACKWARD),
+    TAG_ORIENTED: (NONE, FORWARD, BACKWARD),
+    TAG_NONE: (NONE, FORWARD, BACKWARD, BOTH),
+})
+# a tournament has an arc on every pair
+TOURNAMENT_OPTIONS = MappingProxyType({**DEFAULT_OPTIONS,
+                                       TAG_ORIENTED: (FORWARD, BACKWARD)})
+# a strict order (the ``none`` tag of posets and lops) has no two-way pair
+ORDER_OPTIONS = MappingProxyType({**DEFAULT_OPTIONS,
+                                  TAG_NONE: (NONE, FORWARD, BACKWARD)})
+# lops members (see ``_gen``); not closed under the swap, so not a class's
+_LOPS_MEMBER_OPTIONS = MappingProxyType({TAG_LINEAR: (FORWARD,),
+                                         TAG_NONE: (NONE, FORWARD)})
 
 
 def _complete_structures(signature: Signature, size: int,
                          base: list[set[tuple[int, ...]]], covers: list[int],
                          predicate: Callable[[FinStructure], bool] | None,
-                         options: Callable[[str, int, int], list] = _slot_options
+                         options: Mapping[str, tuple[int, ...]]
                          ) -> Iterator[FinStructure]:
     """All valid structures extending the fixed tuples ``base``.
 
     ``covers`` holds, per point, a bitmask of the parts (the tops of a
     pushout) whose image contains it; a tuple is open when no part covers
-    all of its points (the AND of their masks is 0).  The open pairs are
-    found once and shared by every binary relation: each open binary slot
-    ``x < y`` takes one of ``options(tag, x, y)``, and the slots are
-    enumerated as one product, relation by relation and pair by pair, with
-    each slot's first option first.  Each candidate relation is built as
-    one union of its fixed tuples with the options picked for its slots.
+    all of its points (the AND of their masks is 0).  The open pairs and
+    their tuple sets are found once and shared by every binary relation:
+    each open binary slot takes the tuple sets of the shapes
+    ``options[tag]``, and the slots are enumerated as one product, relation
+    by relation and pair by pair, with each slot's first shape first.  Each
+    candidate relation is one union of its fixed tuples with the tuple sets
+    picked for its slots.
 
     Candidates are built without validation: the caller guarantees that
     the tuples of ``base`` on the points of one part are a valid structure
-    and that they agree wherever two parts meet, and every option is valid
+    and that they agree wherever two parts meet, and every shape is valid
     for its tag on its own, so each pair of points carries valid tuples.
     Transitivity is the one condition on three points.  So when the
     signature has a linear order, each candidate is validated, and an
     intransitive one is skipped.
     """
-    open_pairs = [(x, y) for x in range(size) for y in range(x + 1, size)
-                  if not covers[x] & covers[y]]
-    slot_axes: list[list[tuple[tuple[int, ...], ...]]] = []
+    pair_sets = [((), (xy,), (yx,), (xy, yx))
+                 for x in range(size) for y in range(x + 1, size)
+                 if not covers[x] & covers[y] for xy, yx in [((x, y), (y, x))]]
+    slot_axes: list[Sequence[tuple[tuple[int, ...], ...]]] = []
     # per relation, its fixed tuples and its run of slot_axes
     frozen_base: list[tuple[frozenset[tuple[int, ...]], slice]] = []
     for spec, fixed in zip(signature.relations, base, strict=True):
         start = len(slot_axes)
         if spec.arity == 2:
-            slot_axes += [options(spec.tag, x, y) for x, y in open_pairs]
+            # each open pair's tuple sets of the tag's shapes, in order; an
+            # itemgetter of one index returns the item, not a 1-tuple
+            shapes = options[spec.tag]
+            slot_axes += (map(itemgetter(*shapes), pair_sets) if len(shapes) > 1
+                          else [(sets[shapes[0]],) for sets in pair_sets])
         else:
             for t in itertools.product(range(size), repeat=spec.arity):
                 mask = -1
@@ -256,8 +261,8 @@ def _complete_structures(signature: Signature, size: int,
 
 
 def _completions(signature: Signature, n: int,
-                 predicate: Callable[[FinStructure], bool] | None = None,
-                 options: Callable[[str, int, int], list] = _slot_options
+                 predicate: Callable[[FinStructure], bool] | None,
+                 options: Mapping[str, tuple[int, ...]]
                  ) -> tuple[FinStructure, ...]:
     """Iso-class representatives among the completions of the empty
     structure on ``n`` points: the first completion of each class."""
@@ -277,9 +282,13 @@ class StructClass:
     signature: Signature
     predicate: Callable[[FinStructure], bool]
     _generate: Callable[[int], tuple[FinStructure, ...]]
-    # the tuple sets an open slot of a member can carry, as
-    # ``options(tag, x, y)``; closed under swapping x and y
-    options: Callable[[str, int, int], list] = _slot_options
+    options: Mapping[str, tuple[int, ...]] = field(
+        default_factory=partial(MappingProxyType, DEFAULT_OPTIONS))
+
+    def __post_init__(self) -> None:
+        # the class-property checks skip mirrored spans, which swap x and y
+        if any((FORWARD in s) != (BACKWARD in s) for s in self.options.values()):
+            raise ValueError(f"{self.name}: options not closed under the swap")
 
     def members(self, n: int) -> tuple[FinStructure, ...]:
         """Iso-class representatives with exactly ``n`` elements."""
@@ -301,10 +310,9 @@ def _gen(name: str, n: int) -> tuple[FinStructure, ...]:
     if name == "chains":
         return (chain(n),)
     if name in ("graphs", "oriented-graphs", "tournaments"):
-        # the tournaments' options drop the empty one, so their members and
-        # the members' order are those of the oriented members that are
-        # tournaments
-        return _completions(klass.signature, n, options=klass.options)
+        # the tournaments' table drops NONE, so their members, in order, are
+        # the oriented members that are tournaments
+        return _completions(klass.signature, n, None, klass.options)
     if name == "triangle-free":
         return tuple(s for s in _gen("graphs", n) if is_triangle_free(s))
     if name == "dags":
@@ -317,12 +325,9 @@ def _gen(name: str, n: int) -> tuple[FinStructure, ...]:
     if name == "linearly-ordered-posets":
         # omega is the natural order and po may only agree with it; a
         # linear order makes every structure rigid, so these naturally
-        # labelled completions are already one per iso class.  These
-        # options are not closed under swapping a slot's points, so they
-        # are not the class's
+        # labelled completions are already one per iso class
         return _completions(LOPOSET_SIG, n, is_linearly_ordered_poset,
-                            lambda tag, x, y: [((x, y),)] if tag == TAG_LINEAR
-                            else [(), ((x, y),)])
+                            _LOPS_MEMBER_OPTIONS)
     raise KeyError(name)
 
 
@@ -334,13 +339,13 @@ CLASSES: dict[str, StructClass] = {
     "oriented-graphs": StructClass("oriented-graphs", ORIENTED_SIG, always,
                                    partial(_gen, "oriented-graphs")),
     "tournaments": StructClass("tournaments", ORIENTED_SIG, is_tournament,
-                               partial(_gen, "tournaments"), _tournament_options),
+                               partial(_gen, "tournaments"), TOURNAMENT_OPTIONS),
     "dags": StructClass("dags", ORIENTED_SIG, is_acyclic, partial(_gen, "dags")),
     "posets": StructClass("posets", POSET_SIG, is_poset, partial(_gen, "posets"),
-                          _order_options),
+                          ORDER_OPTIONS),
     "permutations": StructClass("permutations", PERM_SIG, always,
                                 partial(_gen, "permutations")),
     "linearly-ordered-posets": StructClass(
         "linearly-ordered-posets", LOPOSET_SIG, is_linearly_ordered_poset,
-        partial(_gen, "linearly-ordered-posets"), _order_options),
+        partial(_gen, "linearly-ordered-posets"), ORDER_OPTIONS),
 }

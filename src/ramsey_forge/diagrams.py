@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .catalog import (
+    DEFAULT_OPTIONS,
     I_STAR,
     StructClass,
     _complete_structures,
-    _slot_options,
     is_linearly_ordered_poset,
 )
 from .structures import (
@@ -187,7 +187,7 @@ def _forced_quotient(tops: Sequence[FinStructure],
                      glue: Sequence[tuple[int, Sequence[int], int, Sequence[int]]],
                      bound: int | None,
                      predicate: Callable[[FinStructure], bool] | None,
-                     options: Callable[[str, int, int], list] = _slot_options
+                     options: Mapping[str, tuple[int, ...]]
                      ) -> str | Iterator[tuple[FinStructure, tuple[Embedding, ...]]]:
     """Completions of the quotient of the disjoint union of ``tops`` by the
     glue, each with one certified leg per top, in the completer's order.
@@ -204,8 +204,8 @@ def _forced_quotient(tops: Sequence[FinStructure],
     points, and :data:`IMPOSSIBLE` when a tuple of one top lands in another
     top's image where that top says it is absent.  A tuple inside one top's
     image is determined by that top; ``covers[p]`` is the bitmask of the
-    tops whose image contains tip point ``p``.  Open slots take
-    ``options(tag, x, y)``.
+    tops whose image contains tip point ``p``.  Open binary slots take the
+    shapes ``options[tag]``.
 
     The legs are certified in two steps instead of one embedding test per
     leg.  Once per quotient: the forced tuples agree with every top on its
@@ -292,7 +292,7 @@ def _forced_quotient(tops: Sequence[FinStructure],
 
 def find_cocone(diagram: StructDiagram, max_tip_size: int,
                 class_predicate: Callable[[FinStructure], bool] | None = None,
-                options: Callable[[str, int, int], list] = _slot_options
+                options: Mapping[str, tuple[int, ...]] = DEFAULT_OPTIONS
                 ) -> CoconeSearch:
     """Search for a commuting cocone on the forced quotient.
 
@@ -304,8 +304,7 @@ def find_cocone(diagram: StructDiagram, max_tip_size: int,
     give ``none-within-bound``, yet identity legs into K2 commute.)  Two
     outcomes are proofs: a forced merge inside one top object, or
     contradictory forced relations, make a cocone impossible outright.
-    ``options`` are the tuple sets an open slot may take, as in
-    :func:`amalgamate`.
+    ``options`` are as in :func:`amalgamate`.
     """
     shape = diagram.shape
     if shape.n_top == 0:
@@ -342,7 +341,7 @@ class AmalgamSearch:
 def _span_quotient(a: FinStructure, b: FinStructure, c: FinStructure,
                    f: Embedding, g: Embedding, bound: int | None,
                    predicate: Callable[[FinStructure], bool] | None,
-                   options: Callable[[str, int, int], list] = _slot_options
+                   options: Mapping[str, tuple[int, ...]]
                    ) -> str | Iterator[tuple[FinStructure, tuple[Embedding, ...]]]:
     """The engine on the span ``B <-f- A -g-> C``, glued along A."""
     for x, y in ((f.source, a), (g.source, a), (f.target, b), (g.target, c)):
@@ -367,22 +366,22 @@ def enumerate_amalgams(a: FinStructure, b: FinStructure, c: FinStructure,
     amalgam raises :class:`StructureError`.
     """
     # without a bound, a span of embeddings never gets a status
-    for d, (into_b, into_c) in _span_quotient(a, b, c, f, g, None, predicate):
-        yield Amalgam(d, into_b, into_c)
+    for d, legs in _span_quotient(a, b, c, f, g, None, predicate, DEFAULT_OPTIONS):
+        yield Amalgam(d, *legs)
 
 
 def amalgamate(a: FinStructure, b: FinStructure, c: FinStructure,
                f: Embedding, g: Embedding, bound: int | None = None,
                predicate: Callable[[FinStructure], bool] | None = None,
-               options: Callable[[str, int, int], list] = _slot_options
+               options: Mapping[str, tuple[int, ...]] = DEFAULT_OPTIONS
                ) -> AmalgamSearch:
     """First amalgam the engine finds, or why there is none.
 
     ``none-within-bound`` means that the pushout's ``|B| + |C| - |A|``
     points exceed ``bound``; a span of embeddings is never ``impossible``.
-    ``options`` are the tuple sets an open slot may take (a class's
-    :attr:`~catalog.StructClass.options`); they must include every choice
-    ``predicate`` accepts, or amalgams are missed.
+    ``options`` maps each binary tag to the shapes an open slot may take
+    (a class's :attr:`~catalog.StructClass.options`); they must include
+    every choice ``predicate`` accepts, or amalgams are missed.
     """
     quotient = _span_quotient(a, b, c, f, g, bound, predicate, options)
     if isinstance(quotient, str):
@@ -458,7 +457,7 @@ def check_class_property(property_name: str, klass: StructClass, max_size: int,
     did not stop there, so the mirror amalgamated or was out of bound, and
     both outcomes carry over.  Open slots take the class's options.
     Swapping B and C relabels the pushout and its completions, each slot's
-    options are closed under that relabelling,
+    options are closed under it (:class:`~catalog.StructClass` checks it),
     class predicates are isomorphism-invariant, and the bound depends only
     on ``|B| + |C| - |A|``.  So the first counterexample, the count and the
     undecided instances are those of searching every instance.

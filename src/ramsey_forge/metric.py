@@ -154,6 +154,7 @@ class BlockPartition:
 
     def block_index(self, x: Fraction) -> int:
         """1-based block number of a positive value (0 = trivial block)."""
+        x = _frac(x)
         # block i holds the values above jump i-1 up to jump i
         i = bisect.bisect_left(self.jumps, x)
         if i == len(self.jumps) or x not in self.blocks[i]:
@@ -176,14 +177,14 @@ def blocks(s: DistanceSet) -> BlockPartition:
     return BlockPartition(tuple(blk[-1] for blk in out), tuple(map(tuple, out)))
 
 
-def _block_numbers(s: DistanceSet, name: str, x, y) -> list[int]:
-    """Block numbers of the positive values ``x`` and ``y`` of ``s``."""
-    pair = (_frac(x), _frac(y))
-    if min(pair) <= 0:
-        raise MetricError(f"{name} is defined on positive values only")
-    at = [s._position(v) for v in pair]
-    if None in at:
-        missing = next(v for v, i in zip(pair, at) if i is None)
+def _block_numbers(s: DistanceSet, name: str, *values) -> list[int]:
+    """Block numbers of the positive ``values`` of ``s``."""
+    at = [s._position(_frac(v)) for v in values]
+    if None in at or 0 in at:  # the value 0 is position 0
+        values = [_frac(v) for v in values]
+        if min(values) <= 0:
+            raise MetricError(f"{name} is defined on positive values only")
+        missing = next(v for v, i in zip(values, at) if i is None)
         raise MetricError(f"{missing} is not a member of the distance set")
     return [s._of[i] for i in at]
 
@@ -237,14 +238,8 @@ def classify_triple(s: DistanceSet, a, b, c) -> str:
     compact, _ = is_compact(s)
     if not compact:
         raise MetricError("classification requires a compact distance set")
-    triple = (_frac(a), _frac(b), _frac(c))
-    at = [s._position(v) for v in triple]
-    if None in at:
-        missing = min(v for v, i in zip(triple, at) if i is None)
-        raise MetricError(f"{missing} is not a member of the distance set")
     # block numbers grow with the values, so sorting them sorts the triple
-    of = s._of
-    ia, ib, ic = sorted(of[i] for i in at)
+    ia, ib, ic = sorted(_block_numbers(s, "classify_triple", a, b, c))
     if ia == ib == ic:
         return EQUILATERAL
     if ia < ib == ic:

@@ -22,6 +22,7 @@ from .catalog import (
     StructClass,
     linear_order_pairs,
 )
+from .diagrams import embeds_I_star
 from .structures import (
     TAG_LINEAR,
     TAG_SYMMETRIC,
@@ -158,7 +159,6 @@ def permutational_poset(n: int) -> FinStructure:
                    if points[i] < points[j])
     result = FinStructure(LOPOSET_SIG, n, (
         po, frozenset(linear_order_pairs(range(n)))), _checked=True)
-    from .diagrams import embeds_I_star
     if embeds_I_star(result):
         raise AssertionError("permutational poset segment embeds the obstruction")
     return result

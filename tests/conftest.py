@@ -12,8 +12,12 @@ reference for the bitset search; it shares nothing with the library.
 ``seed_complete_structures`` and ``seed_forced_quotient`` (with its
 numbering ``_seed_least_members``) are the relation completer and the
 forced-quotient engine as first written, the references for the rewritten
-ones; besides the structure types they share only the default slot options
-``_slot_options`` and the status names with the library.
+ones; besides the structure types they share only the status names with
+the library.  They take slot options as the callbacks first written,
+``options(tag, x, y)``: ``_slot_options``, ``_tournament_options``,
+``_order_options`` and ``LOPS_OPTIONS``, kept here; ``seed_options`` names
+a built-in class's callback, and ``expand_options`` lists the tuple sets a
+library options table gives a slot.
 ``random_mixed`` draws seeded structures with a unary, a ternary and a
 looped binary relation, the less common cases of the embedding search
 and of the canonical key.
@@ -40,10 +44,13 @@ from ramsey_forge.arrows import (
     Coloring,
     _arrow_instance,
 )
-from ramsey_forge.catalog import _slot_options
+from ramsey_forge.catalog import BACKWARD, BOTH, FORWARD, NONE
 from ramsey_forge.diagrams import IMPOSSIBLE, NONE_WITHIN_BOUND
 from ramsey_forge.structures import (
     TAG_LINEAR,
+    TAG_NONE,
+    TAG_ORIENTED,
+    TAG_SYMMETRIC,
     Embedding,
     FinStructure,
     Signature,
@@ -518,6 +525,50 @@ def seed_embedding_search(a: FinStructure, b: FinStructure
             assignment[v] = -1
 
     yield from extend(0)
+
+
+def _slot_options(tag: str, x: int, y: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Candidate tuple sets for one open binary slot, sparsest first."""
+    if tag == TAG_SYMMETRIC:
+        return [(), ((x, y), (y, x))]
+    if tag == TAG_LINEAR:
+        return [((x, y),), ((y, x),)]
+    if tag == TAG_ORIENTED:
+        return [(), ((x, y),), ((y, x),)]
+    return [(), ((x, y),), ((y, x),), ((x, y), (y, x))]
+
+
+def _tournament_options(tag: str, x: int, y: int) -> list[tuple[tuple[int, ...], ...]]:
+    """A tournament has an arc on every pair."""
+    return _slot_options(tag, x, y)[1:]
+
+
+def _order_options(tag: str, x: int, y: int) -> list[tuple[tuple[int, ...], ...]]:
+    """A strict order has no two-way pair: a ``none``-tagged relation, the
+    order of posets and lops, drops it; other tags keep their options."""
+    options = _slot_options(tag, x, y)
+    return options[:-1] if tag == TAG_NONE else options
+
+
+# the options ``catalog._gen`` completed linearly ordered posets with: omega
+# is the natural order and po may only agree with it
+LOPS_OPTIONS = (lambda tag, x, y: [((x, y),)] if tag == TAG_LINEAR
+                else [(), ((x, y),)])
+
+
+def seed_options(name: str) -> Callable[[str, int, int], list]:
+    """The option callback first written for the built-in class ``name``
+    (the default one for any other name)."""
+    return {"tournaments": _tournament_options, "posets": _order_options,
+            "linearly-ordered-posets": _order_options}.get(name, _slot_options)
+
+
+def expand_options(table, tag: str, x: int, y: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The tuple sets a library options table gives the slot ``x < y`` of
+    a ``tag`` relation, in order."""
+    sets = {NONE: (), FORWARD: ((x, y),), BACKWARD: ((y, x),),
+            BOTH: ((x, y), (y, x))}
+    return [sets[shape] for shape in table[tag]]
 
 
 def seed_complete_structures(signature: Signature, size: int,

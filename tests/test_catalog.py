@@ -9,16 +9,25 @@ import pytest
 from ramsey_forge import catalog
 from ramsey_forge.structures import (
     TAG_LINEAR,
+    TAG_NONE,
+    TAG_ORIENTED,
+    TAG_SYMMETRIC,
     FinStructure,
     StructureError,
     canonical_key,
 )
 
 from conftest import (
+    LOPS_OPTIONS,
     MIXED_SIG,
+    _order_options,
+    _slot_options,
+    _tournament_options,
     brute_force_canonical_key,
+    expand_options,
     random_mixed,
     seed_complete_structures,
+    seed_options,
 )
 
 
@@ -173,7 +182,8 @@ def test_class_options_are_closed_under_the_swap(name):
     klass = catalog.CLASSES[name]
     for spec in klass.signature.relations:
         for x, y in itertools.combinations(range(4), 2):
-            options = {frozenset(o) for o in klass.options(spec.tag, x, y)}
+            options = {frozenset(o)
+                       for o in expand_options(klass.options, spec.tag, x, y)}
             assert {_swap(o, x, y) for o in options} == options
 
 
@@ -182,7 +192,8 @@ def test_no_class_option_is_dead_on_two_points(name):
     """Every option of every relation is taken by some valid 2-point
     member of the class."""
     klass = catalog.CLASSES[name]
-    offered = [klass.options(spec.tag, 0, 1) for spec in klass.signature.relations]
+    offered = [expand_options(klass.options, spec.tag, 0, 1)
+               for spec in klass.signature.relations]
     taken = [set() for _ in offered]
     for choice in itertools.product(*offered):
         try:
@@ -202,8 +213,35 @@ def test_every_member_slot_takes_a_class_option(name):
         for spec, tuples in zip(s.signature.relations, s.relations):
             for x, y in itertools.combinations(s.domain, 2):
                 slot = frozenset(t for t in tuples if set(t) == {x, y})
-                assert slot in {frozenset(o)
-                                for o in klass.options(spec.tag, x, y)}, s
+                assert slot in {frozenset(o) for o in expand_options(
+                    klass.options, spec.tag, x, y)}, s
+
+
+ALL_TAGS = (TAG_NONE, TAG_SYMMETRIC, TAG_LINEAR, TAG_ORIENTED)
+
+
+@pytest.mark.parametrize("table, callback, tags", [
+    (catalog.DEFAULT_OPTIONS, _slot_options, ALL_TAGS),
+    (catalog.TOURNAMENT_OPTIONS, _tournament_options, (TAG_ORIENTED,)),
+    (catalog.ORDER_OPTIONS, _order_options, ALL_TAGS),
+    (catalog._LOPS_MEMBER_OPTIONS, LOPS_OPTIONS, (TAG_NONE, TAG_LINEAR)),
+])
+def test_options_tables_expand_to_the_seed_callbacks(table, callback, tags):
+    """Each table gives every slot of up to 5 points the seed callback's
+    tuple sets in the callback's order, on every tag of the signatures it
+    serves.  (The tournaments' callback dropped the first option of every
+    tag, but only their oriented tag was ever asked.)"""
+    for tag in tags:
+        for x, y in itertools.combinations(range(5), 2):
+            assert expand_options(table, tag, x, y) == callback(tag, x, y)
+
+
+def test_class_options_must_be_closed_under_the_swap():
+    table = {**catalog.DEFAULT_OPTIONS,
+             TAG_ORIENTED: (catalog.NONE, catalog.FORWARD)}
+    with pytest.raises(ValueError, match="not closed under the swap"):
+        catalog.StructClass("forward-only", catalog.ORIENTED_SIG, catalog.always,
+                            lambda n: (), table)
 
 
 def test_acyclic_needs_no_recursion():
@@ -217,23 +255,19 @@ def test_acyclic_needs_no_recursion():
 # ---------------------------------------------------------------------------
 # the relation completer against the completer as first written
 
-# the options ``catalog._gen`` completes linearly ordered posets with: omega
-# is the natural order and po may only agree with it
-LOPS_OPTIONS = (lambda tag, x, y: [((x, y),)] if tag == TAG_LINEAR
-                else [(), ((x, y),)])
-
-
-def assert_same_candidates(signature, size, base, covers, predicate, options,
-                           limit=None):
-    """The completer and ``seed_complete_structures`` yield the same
-    candidates in the same order (the first ``limit`` of them)."""
-    def run(complete):
+def assert_same_candidates(signature, size, base, covers, predicate, table,
+                           callback, limit=None):
+    """The completer with the options ``table`` and
+    ``seed_complete_structures`` with the matching ``callback`` yield the
+    same candidates in the same order (the first ``limit`` of them)."""
+    def run(complete, options):
         out = complete(signature, size, [set(b) for b in base], list(covers),
                        predicate, options)
         return [(s.signature, s.size, s.relations)
                 for s in itertools.islice(out, limit)]
 
-    assert run(catalog._complete_structures) == run(seed_complete_structures)
+    assert (run(catalog._complete_structures, table)
+            == run(seed_complete_structures, callback))
 
 
 def random_base(rng, klass, n, parts):
@@ -249,7 +283,7 @@ def random_base(rng, klass, n, parts):
             tuples = catalog.linear_order_pairs(rng.sample(range(n), n))
         else:
             tuples = [t for x, y in itertools.combinations(range(n), 2)
-                      for t in rng.choice(klass.options(spec.tag, x, y))]
+                      for t in rng.choice(seed_options(klass.name)(spec.tag, x, y))]
         base.append({t for t in tuples if covers[t[0]] & covers[t[1]]})
     return base, covers
 
@@ -267,7 +301,8 @@ def test_completer_matches_the_seed_completer_on_members(name):
     for n in range(4 if has_linear_order(klass) else 5):
         assert_same_candidates(klass.signature, n,
                                [set() for _ in klass.signature.relations],
-                               [0] * n, klass.predicate, klass.options)
+                               [0] * n, klass.predicate, klass.options,
+                               seed_options(name))
 
 
 @pytest.mark.parametrize("name", sorted(catalog.CLASSES))
@@ -283,7 +318,8 @@ def test_completer_matches_the_seed_completer_on_seeded_bases(name):
         base, covers = random_base(rng, klass, n, parts)
         for predicate in (None, klass.predicate):
             assert_same_candidates(klass.signature, n, base, covers,
-                                   predicate, klass.options, limit=200)
+                                   predicate, klass.options, seed_options(name),
+                                   limit=200)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -305,7 +341,7 @@ def test_completer_matches_the_seed_completer_on_mixed_signature(seed):
     base = [{t for t in tuples if inside(t)} for tuples in world.relations]
     for predicate in (None, lambda s: len(s.relations[1]) % 2 == 0):
         assert_same_candidates(MIXED_SIG, n, base, covers, predicate,
-                               catalog._slot_options, limit=300)
+                               catalog.DEFAULT_OPTIONS, _slot_options, limit=300)
 
 
 def test_completer_matches_the_seed_completer_on_lops_member_options():
@@ -315,11 +351,13 @@ def test_completer_matches_the_seed_completer_on_lops_member_options():
     lops = catalog.CLASSES["linearly-ordered-posets"]
     for n in range(6):
         assert_same_candidates(catalog.LOPOSET_SIG, n, [set(), set()], [0] * n,
-                               catalog.is_linearly_ordered_poset, LOPS_OPTIONS)
+                               catalog.is_linearly_ordered_poset,
+                               catalog._LOPS_MEMBER_OPTIONS, LOPS_OPTIONS)
     rng = random.Random(5)
     for _ in range(20):
         n, parts = rng.randint(0, 4), rng.randint(1, 3)
         base, covers = random_base(rng, lops, n, parts)
         assert_same_candidates(catalog.LOPOSET_SIG, n, base, covers,
-                               catalog.is_linearly_ordered_poset, LOPS_OPTIONS,
+                               catalog.is_linearly_ordered_poset,
+                               catalog._LOPS_MEMBER_OPTIONS, LOPS_OPTIONS,
                                limit=200)

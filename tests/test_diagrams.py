@@ -46,6 +46,7 @@ from conftest import (
     every_instance_class_property,
     random_mixed,
     seed_forced_quotient,
+    seed_options,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -511,9 +512,12 @@ def engine_results(engine, tops, glue, bound, predicate, options):
             for tip, legs in itertools.islice(result, 3)]
 
 
-def assert_same_engine_results(*args):
-    expected = engine_results(seed_forced_quotient, *args)
-    assert engine_results(diagrams._forced_quotient, *args) == expected
+def assert_same_engine_results(tops, glue, bound, predicate, table, callback):
+    """The engine with the options ``table`` and ``seed_forced_quotient``
+    with the matching ``callback`` give the same results."""
+    args = tops, glue, bound, predicate
+    expected = engine_results(seed_forced_quotient, *args, callback)
+    assert engine_results(diagrams._forced_quotient, *args, table) == expected
     return expected
 
 
@@ -532,7 +536,7 @@ def test_engine_matches_the_seed_engine_on_every_small_span(name):
                 for bound in (size, size - 1):
                     result = assert_same_engine_results(
                         (b, c), [(0, f.map, 1, g.map)], bound,
-                        klass.predicate, klass.options)
+                        klass.predicate, klass.options, seed_options(name))
                     statuses.add(result if isinstance(result, str)
                                  else FOUND if result else EXHAUSTED)
     assert statuses == ({FOUND, EXHAUSTED, NONE_WITHIN_BOUND} if name == "dags"
@@ -593,7 +597,7 @@ def test_engine_matches_the_seed_engine_on_seeded_diagrams(name):
     and none.  The class predicate is used on quotients of up to 4 points,
     so that a search that rejects every candidate stays small."""
     klass = catalog.CLASSES.get(name)
-    options = klass.options if klass else catalog._slot_options
+    table = klass.options if klass else catalog.DEFAULT_OPTIONS
     rng = random.Random(name)
     seen = set()
     for _ in range(150):
@@ -615,7 +619,7 @@ def test_engine_matches_the_seed_engine_on_seeded_diagrams(name):
             seen.add("twice into one top")
         for bound in (None, size, size - 1):
             result = assert_same_engine_results(tops, glue, bound, predicate,
-                                                options)
+                                                table, seed_options(name))
             if result == IMPOSSIBLE:
                 seen.add("merge" if merged else "contradiction")
             elif isinstance(result, str):

@@ -145,6 +145,12 @@ class TestCompact:
         with pytest.raises(MetricError):
             is_compact(DistanceSet.make([0]))
 
+    def test_block_index_reads_exact_values(self):
+        bp = blocks(S)
+        assert bp.block_index("5/1") == bp.block_index(5) == bp.block_index(Fraction(5))
+        with pytest.raises(MetricError, match="not an exact rational"):
+            bp.block_index(5.0)
+
 
 class TestClassify:
     def test_equilateral(self):
@@ -164,6 +170,12 @@ class TestClassify:
     def test_requires_compact(self):
         with pytest.raises(MetricError):
             classify_triple(DistanceSet.make([0, 1, 2, 3]), 1, 2, 3)
+
+    @pytest.mark.parametrize("triple", [(0, 0, 0), (0, 1, 1), (1, 0, 1), (5, 6, 0),
+                                        ("0", "1/1", 2), (-1, 1, 1)])
+    def test_nonpositive_rejected(self, triple):
+        with pytest.raises(MetricError, match="positive values only"):
+            classify_triple(S, *triple)
 
 
 class TestFourValues:
