@@ -8,6 +8,7 @@ at the level of whole diagrams.
 """
 
 from ramsey_forge import catalog
+from ramsey_forge.catalog import embeds_I_star, is_permutational
 from ramsey_forge.diagrams import (
     BinaryDigraph,
     ab_diagram,
@@ -15,9 +16,7 @@ from ramsey_forge.diagrams import (
     check_class_property,
     check_commutes,
     connected_components,
-    embeds_I_star,
     find_cocone,
-    is_permutational,
 )
 from ramsey_forge.structures import Embedding
 

@@ -8,7 +8,7 @@ and a Calkin-Wilf walk enumerates the rationals for the permutation and
 poset universes.  Segments nest, so every claim is reproducible.
 """
 
-from ramsey_forge import catalog, diagrams
+from ramsey_forge import catalog
 from ramsey_forge.structures import restriction
 from ramsey_forge.universes import (
     acyclic_universal,
@@ -49,6 +49,6 @@ for kind, cls, segment in [("rado", "graphs", 16),
 # rational-walk poset avoids the three-point obstruction at every size.
 print("\nhenson3(64) triangle-free:", catalog.is_triangle_free(henson3(64)))
 print("permutational poset on 30 points obstruction-free:",
-      not diagrams.embeds_I_star(permutational_poset(30)))
+      not catalog.embeds_I_star(permutational_poset(30)))
 print("first rationals of the walk:",
       [str(rational_point(i)) for i in range(7)])

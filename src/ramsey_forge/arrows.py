@@ -53,7 +53,7 @@ class Coloring:
     base_hom: tuple[Embedding, ...]
     k: int
     assignment: tuple[int, ...]
-    _index: dict = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.k < 1:

@@ -1,14 +1,15 @@
 """Builders for common finite structures and enumerable structure classes.
 
-A :class:`StructClass` packages a signature, a membership predicate, an
-iso-class generator and the shapes its members' open slots can take; the
-amalgamation-property checkers and universality audits quantify over these.
+A :class:`StructClass` packages a signature, a membership predicate and
+the shapes its members' open slots can take, from which its members follow
+unless it lists them in closed form; the amalgamation-property checkers and
+universality audits quantify over these.
 
-This module also holds the one relation completer, which fills every open
-slot of a partly fixed structure with each of its options in turn.  Class
-members are the completions of the empty structure on n points, one per
-isomorphism class, and :mod:`diagrams` completes amalgams and cocone tips
-with it.
+This module also holds the tests of linearly ordered posets and the one
+relation completer, which fills every open slot of a partly fixed structure
+with each of its options in turn.  Class members are the completions of the
+empty structure on n points, one per isomorphism class, and :mod:`diagrams`
+completes amalgams and cocone tips with it.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .structures import (
     Signature,
     StructureError,
     canonical_key,
+    first_embedding,
 )
 
 CHAIN_SIG = Signature.make(("lt", 2, TAG_LINEAR))
@@ -103,14 +105,6 @@ def linearly_ordered_poset(n: int, strict: Iterable[tuple[int, int]]
     return s
 
 
-# The three-element obstruction to being permutational: 0 and 2 comparable,
-# the middle point incomparable with both, all three linearly ordered.
-I_STAR = FinStructure.build(LOPOSET_SIG, 3, {
-    "po": [(0, 2)],
-    "omega": linear_order_pairs(range(3)),
-})
-
-
 # ---------------------------------------------------------------------------
 # class predicates
 
@@ -174,12 +168,59 @@ def is_linearly_ordered_poset(s: FinStructure) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# linearly ordered posets: the three-point obstruction and permutationality
+
+
+# The three-element obstruction to being permutational: 0 and 2 comparable,
+# the middle point incomparable with both, all three linearly ordered.
+I_STAR = FinStructure.build(LOPOSET_SIG, 3, {
+    "po": [(0, 2)],
+    "omega": linear_order_pairs(range(3)),
+})
+
+
+def _validate_lo_poset(p: FinStructure) -> None:
+    if not is_linearly_ordered_poset(p):
+        raise StructureError("not a linearly ordered poset "
+                             "(po must be a strict partial order extended by omega)")
+
+
+def embeds_I_star(p: FinStructure) -> bool:
+    """Does the three-element obstruction embed into ``p``?"""
+    _validate_lo_poset(p)
+    return first_embedding(I_STAR, p) is not None
+
+
+def is_permutational(p: FinStructure) -> tuple[int, ...] | None:
+    """A second linear order whose meet with omega is the partial order.
+
+    Returns the witness as a listing of the domain (least first), or None.
+    The second order is forced: for x <_omega y it must hold (x, y) when
+    x <_po y and (y, x) otherwise.  That tournament is built in O(n^2) and
+    is a linear order exactly when it is transitive, that is, when the
+    numbers of points it puts below each point are 0, 1, ..., n-1.  A
+    witness exists exactly when the three-point obstruction does not embed;
+    the checkers are kept independent so that equivalence is testable.
+    """
+    _validate_lo_poset(p)
+    po = p.rel("po")
+    below = [0] * p.size
+    for x, y in p.rel("omega"):
+        below[y if (x, y) in po else x] += 1
+    listing = tuple(sorted(p.domain, key=below.__getitem__))
+    if [below[v] for v in listing] != list(p.domain):
+        return None
+    return listing
+
+
+# ---------------------------------------------------------------------------
 # relation completion: class members, amalgams and cocone tips
 
 
 # the shapes of an open slot x < y: no tuple, (x, y), (y, x) or both
 NONE, FORWARD, BACKWARD, BOTH = range(4)
-# per binary tag, the shapes its open slots try, sparsest first
+# per binary tag, every shape valid for it, sparsest first; a class's table
+# keeps some of them
 DEFAULT_OPTIONS: Mapping[str, tuple[int, ...]] = MappingProxyType({
     TAG_SYMMETRIC: (NONE, BOTH),
     TAG_LINEAR: (FORWARD, BACKWARD),
@@ -192,9 +233,6 @@ TOURNAMENT_OPTIONS = MappingProxyType({**DEFAULT_OPTIONS,
 # a strict order (the ``none`` tag of posets and lops) has no two-way pair
 ORDER_OPTIONS = MappingProxyType({**DEFAULT_OPTIONS,
                                   TAG_NONE: (NONE, FORWARD, BACKWARD)})
-# lops members (see ``_gen``); not closed under the swap, so not a class's
-_LOPS_MEMBER_OPTIONS = MappingProxyType({TAG_LINEAR: (FORWARD,),
-                                         TAG_NONE: (NONE, FORWARD)})
 
 
 def _complete_structures(signature: Signature, size: int,
@@ -260,39 +298,56 @@ def _complete_structures(signature: Signature, size: int,
         yield candidate
 
 
-def _completions(signature: Signature, n: int,
-                 predicate: Callable[[FinStructure], bool] | None,
-                 options: Mapping[str, tuple[int, ...]]
-                 ) -> tuple[FinStructure, ...]:
-    """Iso-class representatives among the completions of the empty
-    structure on ``n`` points: the first completion of each class."""
+@lru_cache(maxsize=None)
+def _completion_types(signature: Signature, n: int,
+                      table: tuple[tuple[str, tuple[int, ...]], ...]
+                      ) -> tuple[FinStructure, ...]:
+    """The first completion of each isomorphism class among the completions
+    of the empty structure on ``n`` points with the slot table ``table``
+    (a mapping's items), in completion order."""
     out: dict = {}
     for s in _complete_structures(signature, n,
                                   [set() for _ in signature.relations],
-                                  [0] * n, predicate, options):
+                                  [0] * n, None, dict(table)):
         out.setdefault(canonical_key(s), s)
     return tuple(out.values())
 
 
 @dataclass(frozen=True)
 class StructClass:
-    """An enumerable class of finite structures closed under isomorphism."""
+    """An enumerable class of finite structures closed under isomorphism.
+
+    Without a generator, ``members(n)`` is the first completion on ``n``
+    points of each iso class, under ``options``, that the predicate accepts.
+    The predicate must be isomorphism-invariant, as the class-property
+    checks assume, so that is the class's first completion.
+    """
 
     name: str
     signature: Signature
     predicate: Callable[[FinStructure], bool]
-    _generate: Callable[[int], tuple[FinStructure, ...]]
+    _generate: Callable[[int], tuple[FinStructure, ...]] | None = None
     options: Mapping[str, tuple[int, ...]] = field(
         default_factory=partial(MappingProxyType, DEFAULT_OPTIONS))
 
     def __post_init__(self) -> None:
+        for spec in self.signature.relations:
+            if spec.arity == 2 and spec.tag not in self.options:
+                raise ValueError(f"{self.name}: no options for tag {spec.tag!r}")
+        if any(not set(shapes) <= set(DEFAULT_OPTIONS.get(tag, ()))
+               for tag, shapes in self.options.items()):
+            raise ValueError(f"{self.name}: options not valid for their tag")
         # the class-property checks skip mirrored spans, which swap x and y
         if any((FORWARD in s) != (BACKWARD in s) for s in self.options.values()):
             raise ValueError(f"{self.name}: options not closed under the swap")
 
     def members(self, n: int) -> tuple[FinStructure, ...]:
         """Iso-class representatives with exactly ``n`` elements."""
-        return self._generate(n)
+        if self._generate is not None:
+            return self._generate(n)
+        types = _completion_types(self.signature, n,
+                                  tuple(sorted(self.options.items())))
+        return tuple(filter(self.predicate, types))
 
     def members_up_to(self, m: int) -> tuple[FinStructure, ...]:
         out: list[FinStructure] = []
@@ -304,48 +359,28 @@ class StructClass:
         return s.signature == self.signature and self.predicate(s)
 
 
-@lru_cache(maxsize=None)
-def _gen(name: str, n: int) -> tuple[FinStructure, ...]:
-    klass = CLASSES[name]
-    if name == "chains":
-        return (chain(n),)
-    if name in ("graphs", "oriented-graphs", "tournaments"):
-        # the tournaments' table drops NONE, so their members, in order, are
-        # the oriented members that are tournaments
-        return _completions(klass.signature, n, None, klass.options)
-    if name == "triangle-free":
-        return tuple(s for s in _gen("graphs", n) if is_triangle_free(s))
-    if name == "dags":
-        return tuple(s for s in _gen("oriented-graphs", n) if is_acyclic(s))
-    if name == "posets":
-        return _completions(klass.signature, n, is_poset, klass.options)
-    if name == "permutations":
-        return tuple(permutation_structure(p)
-                     for p in itertools.permutations(range(n)))
-    if name == "linearly-ordered-posets":
-        # omega is the natural order and po may only agree with it; a
-        # linear order makes every structure rigid, so these naturally
-        # labelled completions are already one per iso class
-        return _completions(LOPOSET_SIG, n, is_linearly_ordered_poset,
-                            _LOPS_MEMBER_OPTIONS)
-    raise KeyError(name)
+def _lops(n: int) -> tuple[FinStructure, ...]:
+    """The strict orders extended by omega, the natural order, which makes
+    each one rigid: its pairs x < y picked in product order, absent first."""
+    pairs = linear_order_pairs(range(n))
+    orders = ([p for p, pick in zip(pairs, picks) if pick]
+              for picks in itertools.product((False, True), repeat=len(pairs)))
+    return tuple(linearly_ordered_poset(n, po) for po in orders
+                 if is_strict_partial_order(frozenset(po), n))
 
 
 CLASSES: dict[str, StructClass] = {
-    "chains": StructClass("chains", CHAIN_SIG, always, partial(_gen, "chains")),
-    "graphs": StructClass("graphs", GRAPH_SIG, always, partial(_gen, "graphs")),
-    "triangle-free": StructClass("triangle-free", GRAPH_SIG, is_triangle_free,
-                                 partial(_gen, "triangle-free")),
-    "oriented-graphs": StructClass("oriented-graphs", ORIENTED_SIG, always,
-                                   partial(_gen, "oriented-graphs")),
+    "chains": StructClass("chains", CHAIN_SIG, always, lambda n: (chain(n),)),
+    "graphs": StructClass("graphs", GRAPH_SIG, always),
+    "triangle-free": StructClass("triangle-free", GRAPH_SIG, is_triangle_free),
+    "oriented-graphs": StructClass("oriented-graphs", ORIENTED_SIG, always),
     "tournaments": StructClass("tournaments", ORIENTED_SIG, is_tournament,
-                               partial(_gen, "tournaments"), TOURNAMENT_OPTIONS),
-    "dags": StructClass("dags", ORIENTED_SIG, is_acyclic, partial(_gen, "dags")),
-    "posets": StructClass("posets", POSET_SIG, is_poset, partial(_gen, "posets"),
-                          ORDER_OPTIONS),
-    "permutations": StructClass("permutations", PERM_SIG, always,
-                                partial(_gen, "permutations")),
+                               options=TOURNAMENT_OPTIONS),
+    "dags": StructClass("dags", ORIENTED_SIG, is_acyclic),
+    "posets": StructClass("posets", POSET_SIG, is_poset, options=ORDER_OPTIONS),
+    "permutations": StructClass("permutations", PERM_SIG, always, lambda n: tuple(
+        map(permutation_structure, itertools.permutations(range(n))))),
     "linearly-ordered-posets": StructClass(
-        "linearly-ordered-posets", LOPOSET_SIG, is_linearly_ordered_poset,
-        partial(_gen, "linearly-ordered-posets"), ORDER_OPTIONS),
+        "linearly-ordered-posets", LOPOSET_SIG, is_linearly_ordered_poset, _lops,
+        ORDER_OPTIONS),
 }

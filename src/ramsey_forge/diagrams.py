@@ -28,10 +28,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .catalog import (
     DEFAULT_OPTIONS,
-    I_STAR,
     StructClass,
     _complete_structures,
-    is_linearly_ordered_poset,
 )
 from .structures import (
     Embedding,
@@ -42,7 +40,6 @@ from .structures import (
     automorphisms,
     compose,
     enumerate_embeddings,
-    first_embedding,
     restriction,
 )
 
@@ -515,41 +512,3 @@ def check_class_property(property_name: str, klass: StructClass, max_size: int,
                                 instance, tuple(undecided), checked)
     return ClassPropertyReport(property_name, klass.name, max_size, True,
                                None, tuple(undecided), checked)
-
-
-# ---------------------------------------------------------------------------
-# linearly ordered posets: the three-point obstruction and permutationality
-
-
-def _validate_lo_poset(p: FinStructure) -> None:
-    if not is_linearly_ordered_poset(p):
-        raise StructureError("not a linearly ordered poset "
-                             "(po must be a strict partial order extended by omega)")
-
-
-def embeds_I_star(p: FinStructure) -> bool:
-    """Does the three-element obstruction embed into ``p``?"""
-    _validate_lo_poset(p)
-    return first_embedding(I_STAR, p) is not None
-
-
-def is_permutational(p: FinStructure) -> tuple[int, ...] | None:
-    """A second linear order whose meet with omega is the partial order.
-
-    Returns the witness as a listing of the domain (least first), or None.
-    The second order is forced: for x <_omega y it must hold (x, y) when
-    x <_po y and (y, x) otherwise.  That tournament is built in O(n^2) and
-    is a linear order exactly when it is transitive, that is, when the
-    numbers of points it puts below each point are 0, 1, ..., n-1.  A
-    witness exists exactly when the three-point obstruction does not embed;
-    the checkers are kept independent so that equivalence is testable.
-    """
-    _validate_lo_poset(p)
-    po = p.rel("po")
-    below = [0] * p.size
-    for x, y in p.rel("omega"):
-        below[y if (x, y) in po else x] += 1
-    listing = tuple(sorted(p.domain, key=below.__getitem__))
-    if [below[v] for v in listing] != list(p.domain):
-        return None
-    return listing

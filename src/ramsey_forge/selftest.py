@@ -139,8 +139,8 @@ def _check_istar() -> tuple[bool, str]:
     for n in range(1, 5):
         for p in catalog.CLASSES["linearly-ordered-posets"].members(n):
             total += 1
-            has_witness = diagrams.is_permutational(p) is not None
-            if has_witness == diagrams.embeds_I_star(p):
+            has_witness = catalog.is_permutational(p) is not None
+            if has_witness == catalog.embeds_I_star(p):
                 mismatches += 1
     return mismatches == 0, (f"{total} linearly ordered posets; "
                              f"{mismatches} violate the characterization")
@@ -164,10 +164,10 @@ def _check_universe_fixtures() -> tuple[bool, str]:
     pp = universes.permutational_poset(16)
     ok = (r4.rel("E") == frozenset(want_edges)
           and d4.rel("arc") == frozenset(want_arcs)
-          and not diagrams.embeds_I_star(pp))
+          and not catalog.embeds_I_star(pp))
     return ok, (f"rado(4) edges ok: {r4.rel('E') == frozenset(want_edges)}, "
                 f"oriented arcs ok: {d4.rel('arc') == frozenset(want_arcs)}, "
-                f"16-point poset obstruction-free: {not diagrams.embeds_I_star(pp)}")
+                f"16-point poset obstruction-free: {not catalog.embeds_I_star(pp)}")
 
 
 def _check_universality() -> tuple[bool, str]:

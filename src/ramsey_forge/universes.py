@@ -20,9 +20,9 @@ from .catalog import (
     ORIENTED_SIG,
     PERM_SIG,
     StructClass,
+    embeds_I_star,
     linear_order_pairs,
 )
-from .diagrams import embeds_I_star
 from .structures import (
     TAG_LINEAR,
     TAG_SYMMETRIC,
@@ -221,6 +221,8 @@ def check_extension_property(g: FinStructure, r: int, prefix: int | None = None
     """
     if r < 1:
         raise ValueError("radius must be >= 1")
+    if prefix is not None and prefix < 0:
+        raise ValueError("prefix must be >= 0")
     edges = g.rel("E")
     m = g.size if prefix is None else min(prefix, g.size)
     requests = []

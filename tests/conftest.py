@@ -550,8 +550,8 @@ def _order_options(tag: str, x: int, y: int) -> list[tuple[tuple[int, ...], ...]
     return options[:-1] if tag == TAG_NONE else options
 
 
-# the options ``catalog._gen`` completed linearly ordered posets with: omega
-# is the natural order and po may only agree with it
+# the options linearly ordered posets were once completed with, as a seed
+# callback: omega is the natural order and po may only agree with it
 LOPS_OPTIONS = (lambda tag, x, y: [((x, y),)] if tag == TAG_LINEAR
                 else [(), ((x, y),)])
 

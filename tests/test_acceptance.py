@@ -152,8 +152,8 @@ def test_criterion_6_permutational_characterization():
     for n in range(1, 6):
         for p in catalog.CLASSES["linearly-ordered-posets"].members(n):
             total += 1
-            witness = diagrams.is_permutational(p)
-            assert (witness is not None) == (not diagrams.embeds_I_star(p)), p
+            witness = catalog.is_permutational(p)
+            assert (witness is not None) == (not catalog.embeds_I_star(p)), p
     report("6", f"{total} linearly ordered posets match the characterization",
            started, 120.0)
 

@@ -476,3 +476,8 @@ class TestColoringValidation:
         hom = enumerate_embeddings(catalog.chain(2), catalog.chain(3))
         with pytest.raises(ValueError):
             Coloring(hom, 2, (0,))
+
+    def test_index_is_not_an_argument(self):
+        hom = enumerate_embeddings(catalog.chain(2), catalog.chain(3))
+        with pytest.raises(TypeError):
+            Coloring(hom, 2, (0, 0, 0), _index={})

@@ -3,10 +3,11 @@ brute-force key over all n! relabelings, and iso-class counts from OEIS."""
 
 import itertools
 import random
+from types import MappingProxyType
 
 import pytest
 
-from ramsey_forge import catalog
+from ramsey_forge import catalog, diagrams
 from ramsey_forge.structures import (
     TAG_LINEAR,
     TAG_NONE,
@@ -72,6 +73,11 @@ SOURCES = {
 }
 SOURCES["triangle-free"] = SOURCES["graphs"]
 SOURCES["dags"] = SOURCES["oriented-graphs"]
+
+# the table linearly ordered posets were once completed with, as the library
+# held it: omega is the natural order and po may only agree with it
+LOPS_MEMBER_OPTIONS = MappingProxyType({TAG_LINEAR: (catalog.FORWARD,),
+                                        TAG_NONE: (catalog.NONE, catalog.FORWARD)})
 
 
 def random_oriented(rng, n):
@@ -170,6 +176,32 @@ def test_tournaments_are_the_tournament_oriented_members(n):
         s for s in oriented if catalog.is_tournament(s))
 
 
+@pytest.mark.parametrize("name, whole", [("triangle-free", "graphs"),
+                                         ("dags", "oriented-graphs")])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_subclass_members_are_the_filtered_members(name, whole, n):
+    klass = catalog.CLASSES[name]
+    assert klass.members(n) == tuple(
+        filter(klass.predicate, catalog.CLASSES[whole].members(n)))
+
+
+COMPLETE_GRAPHS = catalog.StructClass(
+    "complete-graphs", catalog.GRAPH_SIG, catalog.always,
+    options={TAG_SYMMETRIC: (catalog.BOTH,)})
+
+
+def test_table_class_lists_its_members_from_its_table():
+    """No generator: the members come from a one-shape table."""
+    for n in range(6):
+        assert COMPLETE_GRAPHS.members(n) == (catalog.complete_graph(n),)
+
+
+@pytest.mark.parametrize("prop", ["HP", "JEP", "AP", "SAP"])
+def test_table_class_amalgamates(prop):
+    report = diagrams.check_class_property(prop, COMPLETE_GRAPHS, 3)
+    assert report.holds and not report.undecided
+
+
 def _swap(option, x, y):
     relabel = {x: y, y: x}
     return frozenset(tuple(relabel[v] for v in t) for t in option)
@@ -224,7 +256,7 @@ ALL_TAGS = (TAG_NONE, TAG_SYMMETRIC, TAG_LINEAR, TAG_ORIENTED)
     (catalog.DEFAULT_OPTIONS, _slot_options, ALL_TAGS),
     (catalog.TOURNAMENT_OPTIONS, _tournament_options, (TAG_ORIENTED,)),
     (catalog.ORDER_OPTIONS, _order_options, ALL_TAGS),
-    (catalog._LOPS_MEMBER_OPTIONS, LOPS_OPTIONS, (TAG_NONE, TAG_LINEAR)),
+    (LOPS_MEMBER_OPTIONS, LOPS_OPTIONS, (TAG_NONE, TAG_LINEAR)),
 ])
 def test_options_tables_expand_to_the_seed_callbacks(table, callback, tags):
     """Each table gives every slot of up to 5 points the seed callback's
@@ -242,6 +274,25 @@ def test_class_options_must_be_closed_under_the_swap():
     with pytest.raises(ValueError, match="not closed under the swap"):
         catalog.StructClass("forward-only", catalog.ORIENTED_SIG, catalog.always,
                             lambda n: (), table)
+
+
+@pytest.mark.parametrize("shapes", [
+    (catalog.NONE, catalog.FORWARD, catalog.BACKWARD, catalog.BOTH),
+    (catalog.FORWARD, catalog.BACKWARD, catalog.BOTH),
+])
+def test_class_options_must_be_valid_for_their_tag(shapes):
+    # a symmetric relation has no one-way pair
+    table = {**catalog.DEFAULT_OPTIONS, TAG_SYMMETRIC: shapes}
+    with pytest.raises(ValueError, match="not valid for their tag"):
+        catalog.StructClass("graphs-with-arcs", catalog.GRAPH_SIG, catalog.always,
+                            options=table)
+
+
+def test_class_options_must_cover_every_binary_tag():
+    table = {TAG_SYMMETRIC: catalog.DEFAULT_OPTIONS[TAG_SYMMETRIC]}
+    with pytest.raises(ValueError, match="no options for tag"):
+        catalog.StructClass("untabled-orientations", catalog.ORIENTED_SIG,
+                            catalog.always, options=table)
 
 
 def test_acyclic_needs_no_recursion():
@@ -345,19 +396,19 @@ def test_completer_matches_the_seed_completer_on_mixed_signature(seed):
 
 
 def test_completer_matches_the_seed_completer_on_lops_member_options():
-    """The options ``catalog._gen`` lists linearly ordered posets with, on
-    the validated path for linear orders: every completion of up to 5
-    points, and seeded bases of up to 4."""
+    """The options linearly ordered posets were once listed with, on the
+    validated path for linear orders: every completion of up to 5 points,
+    and seeded bases of up to 4."""
     lops = catalog.CLASSES["linearly-ordered-posets"]
     for n in range(6):
         assert_same_candidates(catalog.LOPOSET_SIG, n, [set(), set()], [0] * n,
                                catalog.is_linearly_ordered_poset,
-                               catalog._LOPS_MEMBER_OPTIONS, LOPS_OPTIONS)
+                               LOPS_MEMBER_OPTIONS, LOPS_OPTIONS)
     rng = random.Random(5)
     for _ in range(20):
         n, parts = rng.randint(0, 4), rng.randint(1, 3)
         base, covers = random_base(rng, lops, n, parts)
         assert_same_candidates(catalog.LOPOSET_SIG, n, base, covers,
                                catalog.is_linearly_ordered_poset,
-                               catalog._LOPS_MEMBER_OPTIONS, LOPS_OPTIONS,
+                               LOPS_MEMBER_OPTIONS, LOPS_OPTIONS,
                                limit=200)

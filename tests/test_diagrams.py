@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from ramsey_forge import catalog, diagrams
+from ramsey_forge.catalog import embeds_I_star, is_permutational
 from ramsey_forge.diagrams import (
     EXHAUSTED,
     FOUND,
@@ -22,10 +23,8 @@ from ramsey_forge.diagrams import (
     check_class_property,
     check_commutes,
     connected_components,
-    embeds_I_star,
     enumerate_amalgams,
     find_cocone,
-    is_permutational,
 )
 from ramsey_forge.structures import (
     Embedding,

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ramsey_forge import catalog, diagrams, universes
+from ramsey_forge import catalog, universes
 from ramsey_forge.structures import (
     SignatureMismatchError,
     first_embedding,
@@ -154,7 +154,7 @@ class TestRationalChain:
 class TestPermutationalPoset:
     @pytest.mark.parametrize("n", [1, 8, 16, 30])
     def test_obstruction_free(self, n):
-        assert not diagrams.embeds_I_star(permutational_poset(n))
+        assert not catalog.embeds_I_star(permutational_poset(n))
 
     def test_omega_extends_po(self):
         p = permutational_poset(20)
@@ -162,7 +162,7 @@ class TestPermutationalPoset:
         assert all(pair in omega for pair in p.rel("po"))
 
     def test_witness_exists(self):
-        listing = diagrams.is_permutational(permutational_poset(8))
+        listing = catalog.is_permutational(permutational_poset(8))
         assert listing is not None
         # the witness sorts the points by their rational values
         points = [rational_point(i) for i in range(8)]
@@ -224,6 +224,11 @@ class TestExtensionProperty:
             assert all((r.witness, u) in edges for u in r.targets)
             assert all((r.witness, v) not in edges for v in r.non_targets)
             assert r.witness not in r.targets + r.non_targets
+
+    def test_negative_prefix_rejected(self):
+        with pytest.raises(ValueError, match="prefix must be >= 0"):
+            check_extension_property(rado(8), 2, prefix=-3)
+        assert check_extension_property(rado(8), 2, prefix=0).prefix == 0
 
 
 class OneCycle:
