@@ -6,6 +6,8 @@ most t colors.  :func:`check_arrow` decides this by a backtracking search
 for a *bad* coloring (one defeating every w) that cuts a branch as soon as
 some w can no longer exceed t colors; :func:`exhaustive_min_degree` is the
 independent brute-force oracle used to cross-check it on small instances.
+It evaluates every coloring, many at once as the bits of one int, in pure
+Python.
 
 Everything here works on hom-sets (embeddings), never on unordered
 "copies"; with nontrivial automorphisms those counts differ.
@@ -14,9 +16,9 @@ Everything here works on hom-sets (embeddings), never on unordered
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from math import inf
-
-import numpy as np
+from operator import or_
 
 from .structures import (
     TAG_LINEAR,
@@ -32,10 +34,9 @@ from .structures import (
 
 DEFAULT_BUDGET = 10 ** 8
 
-# colorings per numpy block in the exhaustive oracle
-_ORACLE_CHUNK = 1 << 18
-# the most colorings the oracle can number as int64 rows 0 .. 2**63 - 1
-_ORACLE_ROWS = 1 << 63
+# the most colorings the exhaustive oracle evaluates at once, as the bits
+# ("lanes") of one int
+_ORACLE_LANES = 1 << 12
 
 
 class InternalConsistencyError(RuntimeError):
@@ -297,41 +298,77 @@ def exhaustive_min_degree(c: FinStructure, b: FinStructure, a: FinStructure,
     the color count on w's composed copies.
 
     The arrow ``C -> (B)^A_{k,t}`` holds exactly when ``t >=`` this value.
-    Colorings are enumerated as mixed-radix rows (numpy, chunked),
-    independently of the pruned search.  Returns 0 when there is nothing to
-    color and ``inf`` when no witness w exists.  Raises ValueError when the
-    ``k ** |hom(A, C)|`` colorings exceed the ``2 ** 63`` rows the oracle can
-    number.
+    Every coloring is evaluated, independently of the pruned search.  The
+    last ``tail`` elements of hom(A, C) are colored all at once, one
+    coloring per bit ("lane") of an int, ``tail`` being the most with
+    ``k ** tail`` lanes within a fixed lane width: lane x gives tail
+    element i the i-th base-k digit of x.  The colorings of the other
+    (head) elements are counted through in base k, one pass over the lanes
+    each.  Stops once the value reaches the least ``min(k, |group|)`` over
+    the groups, the most it can be.  Returns 0 when there is nothing to
+    color and ``inf`` when no witness w exists.
     """
     hom_ac, hom_bc, groups = _arrow_instance(c, b, a)
     n = len(hom_ac)
     if not hom_bc:
         return inf
-    if n == 0 or any(len(g) == 0 for g in groups):
-        return 0
     bound = min(min(k, len(g)) for g in groups)
-    total = k ** n
-    if total > _ORACLE_ROWS:
-        raise ValueError(f"{k}**{n} colorings exceed the 2**63 rows the "
-                         "oracle can number")
-    powers = np.array([k ** i for i in range(n - 1, -1, -1)], dtype=np.int64)
+    if n == 0 or bound < 1:
+        return 0
+    tail = 0
+    while tail < n and k ** (tail + 1) <= _ORACLE_LANES:
+        tail += 1
+    head = n - tail
+    full = (1 << k ** tail) - 1
+    # digits[i][x]: the lanes where tail element i has color x; digit i
+    # repeats in periods of k * k**i lanes, one bit per period in ``every``
+    digits = []
+    for i in range(tail):
+        run = k ** i
+        every = full // ((1 << (run * k)) - 1)
+        digits.append([(((1 << run) - 1) << (x * run)) * every
+                       for x in range(k)])
+    # per group: its head elements, and per color the lanes where its tail
+    # elements have that color
+    parts = []
+    for g in groups:
+        ends = [digits[e - head] for e in g if e >= head]
+        parts.append(([e for e in g if e < head],
+                      [(x, reduce(or_, masks))
+                       for x, masks in enumerate(zip(*ends))]))
+    # head coloring r gives head element i the i-th base-k digit of r
+    # (counted, not a product over range(k), which would hold all k colors)
+    powers = [k ** i for i in range(head)]
     worst = 0
-    for start in range(0, total, _ORACLE_CHUNK):
-        stop = min(start + _ORACLE_CHUNK, total)
-        rows = np.arange(start, stop, dtype=np.int64)
-        digits = ((rows[:, None] // powers[None, :]) % k).astype(np.int8)
-        mins: np.ndarray | None = None
-        for g in groups:
-            cols = digits[:, list(g)]
-            cnt = np.zeros(len(rows), dtype=np.int16)
-            for col in range(k):
-                cnt += (cols == col).any(axis=1)
-            mins = cnt if mins is None else np.minimum(mins, cnt)
-        assert mins is not None
-        worst = max(worst, int(mins.max()))
-        if worst >= bound:
-            break
+    for r in range(k ** head):
+        row = [r // p % k for p in powers]
+        while _lanes_with(parts, row, worst + 1, full):
+            worst += 1
+            if worst >= bound:
+                return worst
     return worst
+
+
+def _lanes_with(parts: list[tuple[list[int], list[tuple[int, int]]]],
+                row: list[int], need: int, full: int) -> int:
+    """The lanes where every group has at least ``need`` colors, the head
+    elements colored by ``row`` (see :func:`exhaustive_min_degree`)."""
+    common = full
+    for front, back in parts:
+        seen = {row[e] for e in front}
+        have = len(seen)
+        if have >= need:
+            continue
+        # at[j]: the lanes where the group has at least j colors
+        at = [full] * (have + 1) + [0] * (need - have)
+        for x, lane in back:
+            if x not in seen:
+                for j in range(need, have, -1):
+                    at[j] |= at[j - 1] & lane
+        common &= at[need]
+        if not common:
+            break
+    return common
 
 
 def exhaustive_check_arrow(c: FinStructure, b: FinStructure, a: FinStructure,
@@ -340,10 +377,9 @@ def exhaustive_check_arrow(c: FinStructure, b: FinStructure, a: FinStructure,
     """Oracle form of :func:`check_arrow` by full coloring enumeration.
 
     Returns None (undecided), without enumerating, when the
-    ``k ** |hom(A, C)|`` colorings exceed ``budget`` or the ``2 ** 63`` rows
-    the oracle can number.
+    ``k ** |hom(A, C)|`` colorings exceed ``budget``.
     """
-    if k ** len(_hom_for_pattern(a, c)) > min(budget, _ORACLE_ROWS):
+    if k ** len(_hom_for_pattern(a, c)) > budget:
         return None
     return t >= exhaustive_min_degree(c, b, a, k)
 

@@ -351,8 +351,7 @@ def build_parser() -> _Parser:
                      description="finite-structure workbench")
     parser.add_argument("--budget", type=int, default=arrows.DEFAULT_BUDGET,
                         help="search-node budget of arrow check; with --oracle, "
-                             "the most colorings it enumerates (past 2**63 "
-                             "colorings the oracle is undecided)")
+                             "the most colorings it enumerates")
     parser.add_argument("--format", choices=["json", "text"], default="json",
                         help="output format")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -6,7 +6,9 @@ second route.  The one exception, ``every_instance_class_property``, runs
 the library's amalgamation search on every instance, to check the
 shortcut that the class-property loop takes.  ``seed_check_arrow`` is the
 arrow search as first written, the reference for the rewritten search; it
-shares only the instance builder ``_arrow_instance`` with the library.
+shares only the instance builder ``_arrow_instance`` with the library,
+and so does ``seed_exhaustive_min_degree``, the numpy oracle as first
+written, the reference for the pure-Python oracle.
 ``seed_embedding_search`` is the embedding search as first written, the
 reference for the bitset search; it shares nothing with the library.
 ``seed_complete_structures`` and ``seed_forced_quotient`` (with its
@@ -33,6 +35,7 @@ import dataclasses
 import functools
 import itertools
 from fractions import Fraction
+from math import inf
 from typing import Callable, Iterable, Iterator, Sequence
 
 import pytest
@@ -436,6 +439,48 @@ def seed_check_arrow(c: FinStructure, b: FinStructure, a: FinStructure,
         return ArrowVerdict(holds=False, witness=Coloring(hom_ac, k, found),
                             nodes=nodes)
     return ArrowVerdict(holds=True, nodes=nodes)
+
+
+def seed_exhaustive_min_degree(c: FinStructure, b: FinStructure,
+                               a: FinStructure, k: int) -> int | float:
+    """The numpy oracle ``arrows.exhaustive_min_degree`` as first written.
+
+    Kept verbatim below the numpy import, with its two constants made
+    local: ``exhaustive_min_degree`` must return the same value on every
+    instance.  Tests that call it are skipped where numpy is missing.
+    """
+    np = pytest.importorskip("numpy")
+    _ORACLE_CHUNK = 1 << 18
+    _ORACLE_ROWS = 1 << 63
+    hom_ac, hom_bc, groups = _arrow_instance(c, b, a)
+    n = len(hom_ac)
+    if not hom_bc:
+        return inf
+    if n == 0 or any(len(g) == 0 for g in groups):
+        return 0
+    bound = min(min(k, len(g)) for g in groups)
+    total = k ** n
+    if total > _ORACLE_ROWS:
+        raise ValueError(f"{k}**{n} colorings exceed the 2**63 rows the "
+                         "oracle can number")
+    powers = np.array([k ** i for i in range(n - 1, -1, -1)], dtype=np.int64)
+    worst = 0
+    for start in range(0, total, _ORACLE_CHUNK):
+        stop = min(start + _ORACLE_CHUNK, total)
+        rows = np.arange(start, stop, dtype=np.int64)
+        digits = ((rows[:, None] // powers[None, :]) % k).astype(np.int8)
+        mins: np.ndarray | None = None
+        for g in groups:
+            cols = digits[:, list(g)]
+            cnt = np.zeros(len(rows), dtype=np.int16)
+            for col in range(k):
+                cnt += (cols == col).any(axis=1)
+            mins = cnt if mins is None else np.minimum(mins, cnt)
+        assert mins is not None
+        worst = max(worst, int(mins.max()))
+        if worst >= bound:
+            break
+    return worst
 
 
 def _degree_profiles(s: FinStructure) -> list[dict[tuple[int, int], int]]:

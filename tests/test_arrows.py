@@ -3,7 +3,7 @@ import random
 from math import inf
 
 import pytest
-from conftest import seed_check_arrow
+from conftest import seed_check_arrow, seed_exhaustive_min_degree
 
 from ramsey_forge import catalog, universes
 from ramsey_forge.arrows import (
@@ -210,17 +210,7 @@ class TestCheckArrow:
         assert is_bad_coloring(v.witness, b, a, c, 1)
 
     def test_oracle_equivalence_small_mixed_pool(self):
-        instances = [
-            (catalog.chain(5), catalog.chain(3), catalog.chain(2)),
-            (catalog.chain(6), catalog.chain(3), catalog.chain(2)),
-            (catalog.complete_graph(4), catalog.complete_graph(3),
-             catalog.complete_graph(2)),
-            (catalog.cycle_graph(5), catalog.path_graph(3),
-             catalog.complete_graph(2)),
-            (catalog.empty_graph(4), catalog.empty_graph(2),
-             catalog.empty_graph(1)),
-        ]
-        for c, b, a in instances:
+        for c, b, a in MIXED_POOL:
             n = len(enumerate_embeddings(a, c))
             if n > 16:
                 continue
@@ -230,6 +220,19 @@ class TestCheckArrow:
                 degree = exhaustive_min_degree(c, b, a, k)
                 for t in (1, 2):
                     assert check_arrow(c, b, a, k, t).holds == (t >= degree)
+
+
+# (C, B, A) triples of mixed kinds, checked against the oracle
+MIXED_POOL = (
+    (catalog.chain(5), catalog.chain(3), catalog.chain(2)),
+    (catalog.chain(6), catalog.chain(3), catalog.chain(2)),
+    (catalog.complete_graph(4), catalog.complete_graph(3),
+     catalog.complete_graph(2)),
+    (catalog.cycle_graph(5), catalog.path_graph(3),
+     catalog.complete_graph(2)),
+    (catalog.empty_graph(4), catalog.empty_graph(2),
+     catalog.empty_graph(1)),
+)
 
 
 def random_structure(kind, n, rng):
@@ -386,17 +389,37 @@ class TestExhaustiveOracle:
                                      catalog.chain(3), 2) == 0
 
     def test_past_int64_rows_is_undecided(self):
-        # 3^45 colorings of hom(chain2, chain10): within the budget, but
-        # past the 2^63 rows the oracle can number
+        # 3^45 colorings of hom(chain2, chain10), one past the budget
         assert exhaustive_check_arrow(catalog.chain(10), catalog.chain(3),
                                       catalog.chain(2), 3, 1,
-                                      budget=10 ** 23) is None
+                                      budget=3 ** 45 - 1) is None
 
-    def test_past_int64_rows_raises_value_error(self):
-        # the same 3^45 colorings, asked for directly
-        with pytest.raises(ValueError, match=r"2\*\*63 rows"):
-            exhaustive_min_degree(catalog.chain(10), catalog.chain(3),
-                                  catalog.chain(2), 3)
+    def test_past_int64_rows_settled_by_the_bound(self):
+        # 2^66 colorings of hom(chain2, chain3); each group has one
+        # element, so the first coloring reaches the bound
+        assert exhaustive_min_degree(catalog.chain(3), catalog.chain(2),
+                                     catalog.chain(2), 2 ** 22) == 1
+
+    def test_matches_the_seed_oracle(self):
+        # criterion 1's chain range, the mixed pool and 60 seeded random
+        # graph triples, at every k up to 4 with at most 10^6 colorings
+        rng = random.Random(21)
+        graphs = []
+        for _ in range(60):
+            c = random_structure("graphs", rng.randint(3, 6), rng)
+            b = random_structure("graphs", rng.randint(2, 3), rng)
+            a = restriction(b, rng.sample(range(b.size), rng.randint(1, 2)))
+            graphs.append((c, b, a))
+        chains = [(catalog.chain(nc), catalog.chain(nb), catalog.chain(na))
+                  for nc, nb, na in itertools.product(range(7), range(4),
+                                                      range(3))]
+        for c, b, a in chains + list(MIXED_POOL) + graphs:
+            n = len(enumerate_embeddings(a, c))
+            for k in (1, 2, 3, 4):
+                if k ** n <= 10 ** 6:
+                    got = exhaustive_min_degree(c, b, a, k)
+                    want = seed_exhaustive_min_degree(c, b, a, k)
+                    assert got == want, (c, b, a, k)
 
 
 class TestMinDegree:

@@ -82,17 +82,30 @@ class TestArrowCommand:
 
     def test_oracle_past_int64_rows_is_undecided(self, chain_files, capsys,
                                                   tmp_path):
-        # 3^45 colorings of hom(chain2, chain10) are within the budget but
-        # past the 2^63 rows the oracle can number
+        # 3^45 colorings of hom(chain2, chain10), one past the budget
         c = tmp_path / "chain10.json"
         c.write_text(structure_to_json(catalog.chain(10)))
-        code = dispatch(["--budget", str(10 ** 23), "arrow", "check",
+        code = dispatch(["--budget", str(3 ** 45 - 1), "arrow", "check",
                          "--C", str(c), "--B", chain_files[3],
                          "--A", chain_files[2], "-k", "3", "-t", "1",
                          "--oracle"])
         out, err = capsys.readouterr()
         assert code == EXIT_UNDECIDED and err == ""
         assert json.loads(out)["holds"] is None
+
+    @pytest.mark.parametrize("budget,exit_code,holds", [
+        (1024, EXIT_FAIL, False),
+        (1023, EXIT_UNDECIDED, None),
+    ])
+    def test_oracle_budget_counts_colorings(self, chain_files, capsys,
+                                            budget, exit_code, holds):
+        # 2^10 colorings of hom(chain2, chain5); chain5 -> (3)^2_2 fails
+        code, out = run(capsys, ["--budget", str(budget), "arrow", "check",
+                                 "--C", chain_files[5], "--B", chain_files[3],
+                                 "--A", chain_files[2], "-k", "2", "-t", "1",
+                                 "--oracle"])
+        assert code == exit_code
+        assert json.loads(out)["holds"] is holds
 
     def test_oracle_mode_agrees(self, chain_files, capsys):
         code, out = run(capsys, ["arrow", "check", "--C", chain_files[6],
@@ -373,6 +386,15 @@ class TestUsage:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: cannot read structure ")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_cli_import_leaves_numpy_out():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ramsey_forge.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 class TestOneParserPerProcess:
