@@ -423,20 +423,17 @@ def build_parser() -> _Parser:
     return parser
 
 
-# the parser of every dispatch in this process, built by the first one
-_parser: _Parser | None = None
+# the parser of every dispatch in this process
+_parser = build_parser()
 
 
 def dispatch(argv: Sequence[str]) -> int:
     """Run one command line and return its exit code.
 
-    Parses with one parser per process, built on the first call and reused
-    after.  Each parse makes a fresh namespace, and help and usage text go
-    to the streams of the moment, so no report depends on earlier calls.
+    Parses with the one parser of the process, built at import.  Each parse
+    makes a fresh namespace, and help and usage text go to the streams of
+    the moment, so no report depends on earlier calls.
     """
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
     try:
         args = _parser.parse_args(argv)
         if args.budget < 1:

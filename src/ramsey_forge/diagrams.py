@@ -8,16 +8,18 @@ leg per top vertex making every bottom span agree.
 One private engine, ``_forced_quotient``, builds every cocone tip and
 amalgam: the quotient of the disjoint union of the top objects by the
 identifications the bottom spans force (the pushout), completed by the
-relation completer of :mod:`catalog`, with one certified leg per top.  The
-completer builds its candidates without validating them, and the engine
-certifies the legs without an embedding test: once per quotient, that the
-forced tuples agree with every top, and once per completion, that the tip
-keeps the forced tuples and adds none inside one top's image.
-:func:`find_cocone` and :func:`amalgamate` adapt it to their result types,
-and joint embedding is amalgamation over the empty structure.  Only forced
-quotients are tried: merging points beyond what the spans force is never
-attempted, so a search that finds nothing does not prove that no cocone or
-amalgam exists.
+relation completer of :mod:`catalog`.  It returns data: the leg map of
+each top, computed once per quotient, and an iterator of certified tips.
+The completer builds its candidates without validating them, and the
+engine certifies the legs without an embedding test: once per quotient,
+that the forced tuples agree with every top, and once per completion, that
+the tip keeps the forced tuples and adds none inside one top's image.
+:func:`find_cocone` and :func:`amalgamate` wrap the maps as legs of the one
+tip they return; :func:`check_class_property` reads only whether a first
+tip exists, so it builds no legs and no result objects.  Joint embedding is
+amalgamation over the empty structure.  Only forced quotients are tried:
+merging points beyond what the spans force is never attempted, so a search
+that finds nothing does not prove that no cocone or amalgam exists.
 """
 
 from __future__ import annotations
@@ -185,18 +187,19 @@ def _forced_quotient(tops: Sequence[FinStructure],
                      bound: int | None,
                      predicate: Callable[[FinStructure], bool] | None,
                      options: Mapping[str, tuple[int, ...]]
-                     ) -> str | Iterator[tuple[FinStructure, tuple[Embedding, ...]]]:
-    """Completions of the quotient of the disjoint union of ``tops`` by the
-    glue, each with one certified leg per top, in the completer's order.
+                     ) -> str | tuple[tuple[tuple[int, ...], ...], Iterator[FinStructure]]:
+    """The leg maps of the quotient of the disjoint union of ``tops`` by
+    the glue, one per top, and an iterator of its certified completions in
+    the completer's order; or a status when there are none to try.
 
     A glue entry ``(i, u, j, v)`` says that point ``u[x]`` of top ``i`` is
     point ``v[x]`` of top ``j``; tip points are numbered in order of first
     appearance, top by top.  That numbering is read straight off the
     union-find roots of the points of the disjoint union: a root is the
     least member of its class, so it comes first, and a point is new
-    exactly when it is its own root; each leg is a slice of the numbering.
-    Checked in this order, the result is
-    :data:`IMPOSSIBLE` when two points of one top merge,
+    exactly when it is its own root; each leg map is a slice of the
+    numbering, the same into every completion.  Checked in this order, the
+    status is :data:`IMPOSSIBLE` when two points of one top merge,
     :data:`NONE_WITHIN_BOUND` when the quotient has more than ``bound``
     points, and :data:`IMPOSSIBLE` when a tuple of one top lands in another
     top's image where that top says it is absent.  A tuple inside one top's
@@ -212,7 +215,8 @@ def _forced_quotient(tops: Sequence[FinStructure],
     Once per completion: the tip keeps every forced tuple and adds none
     inside one top's image.  Each leg is injective, so it then preserves
     and reflects every relation, and a completion that fails raises
-    :class:`StructureError`.
+    :class:`StructureError`.  A caller that returns a tip may wrap each map
+    as ``Embedding(top, tip, map, _checked=True)``.
     """
     offsets = list(itertools.accumulate((s.size for s in tops), initial=0))
     number = _least_members(offsets[-1], ((offsets[i] + p, offsets[j] + q)
@@ -265,7 +269,7 @@ def _forced_quotient(tops: Sequence[FinStructure],
     assert shared == {legs[i][p] for i, u, j, _ in glue if i != j for p in u}
     signature = tops[0].signature
 
-    def certified() -> Iterator[tuple[FinStructure, tuple[Embedding, ...]]]:
+    def certified() -> Iterator[FinStructure]:
         for tip in _complete_structures(signature, size, base, covers,
                                         predicate, options):
             if (not (tip.signature is signature or tip.signature == signature)
@@ -281,10 +285,9 @@ def _forced_quotient(tops: Sequence[FinStructure],
                     if inside:
                         raise StructureError(
                             f"completion {tip!r} adds {t} inside a top's image")
-            yield tip, tuple([Embedding(s, tip, m, _checked=True)
-                              for s, m in zip(tops, legs)])
+            yield tip
 
-    return certified()
+    return tuple(legs), certified()
 
 
 def find_cocone(diagram: StructDiagram, max_tip_size: int,
@@ -293,8 +296,9 @@ def find_cocone(diagram: StructDiagram, max_tip_size: int,
                 ) -> CoconeSearch:
     """Search for a commuting cocone on the forced quotient.
 
-    A thin adapter onto the engine that :func:`amalgamate` shares: candidate
-    tips differ only in the relations chosen on tuples no top object
+    A thin adapter onto the engine that :func:`amalgamate` shares, which
+    wraps the leg maps of the first tip as embeddings: candidate tips
+    differ only in the relations chosen on tuples no top object
     determines.  A cocone that identifies further points is never found, so
     ``exhausted`` and ``none-within-bound`` do not prove that no cocone
     exists.  (Two copies of K2 glued at a point, with ``max_tip_size`` 2,
@@ -313,8 +317,11 @@ def find_cocone(diagram: StructDiagram, max_tip_size: int,
                                 class_predicate, options)
     if isinstance(quotient, str):
         return CoconeSearch(quotient)
-    for tip, legs in quotient:
-        return CoconeSearch(FOUND, Cocone(tip, legs))
+    maps, tips = quotient
+    for tip in tips:
+        return CoconeSearch(FOUND, Cocone(tip, tuple([
+            Embedding(s, tip, m, _checked=True)
+            for s, m in zip(diagram.top_objects, maps)])))
     return CoconeSearch(EXHAUSTED)
 
 
@@ -335,56 +342,37 @@ class AmalgamSearch:
     result: Amalgam | None = None
 
 
-def _span_quotient(a: FinStructure, b: FinStructure, c: FinStructure,
-                   f: Embedding, g: Embedding, bound: int | None,
-                   predicate: Callable[[FinStructure], bool] | None,
-                   options: Mapping[str, tuple[int, ...]]
-                   ) -> str | Iterator[tuple[FinStructure, tuple[Embedding, ...]]]:
-    """The engine on the span ``B <-f- A -g-> C``, glued along A."""
-    for x, y in ((f.source, a), (g.source, a), (f.target, b), (g.target, c)):
-        if not (x is y or x == y):
-            raise StructureError("amalgamate: span embeddings do not match A, B, C")
-    return _forced_quotient((b, c), [(0, f.map, 1, g.map)], bound, predicate,
-                            options)
-
-
-def enumerate_amalgams(a: FinStructure, b: FinStructure, c: FinStructure,
-                       f: Embedding, g: Embedding,
-                       predicate: Callable[[FinStructure], bool] | None = None
-                       ) -> Iterator[Amalgam]:
-    """All pushout-shaped amalgams of the span ``B <-f- A -g-> C``.
-
-    The amalgam's point set is B plus the points of C outside g(A); no
-    further identification is attempted, so the shared part of the two
-    images is exactly the image of A and every amalgam produced here is a
-    strong one.  Relation choices on mixed tuples are enumerated with the
-    free superposition (no cross relations) first.  The maps into each
-    amalgam are certified embeddings, so a completion that is not an
-    amalgam raises :class:`StructureError`.
-    """
-    # without a bound, a span of embeddings never gets a status
-    for d, legs in _span_quotient(a, b, c, f, g, None, predicate, DEFAULT_OPTIONS):
-        yield Amalgam(d, *legs)
-
-
 def amalgamate(a: FinStructure, b: FinStructure, c: FinStructure,
                f: Embedding, g: Embedding, bound: int | None = None,
                predicate: Callable[[FinStructure], bool] | None = None,
                options: Mapping[str, tuple[int, ...]] = DEFAULT_OPTIONS
                ) -> AmalgamSearch:
-    """First amalgam the engine finds, or why there is none.
+    """First pushout-shaped amalgam of the span ``B <-f- A -g-> C`` that
+    the engine finds, or why there is none.
 
-    ``none-within-bound`` means that the pushout's ``|B| + |C| - |A|``
-    points exceed ``bound``; a span of embeddings is never ``impossible``.
-    ``options`` maps each binary tag to the shapes an open slot may take
-    (a class's :attr:`~catalog.StructClass.options`); they must include
-    every choice ``predicate`` accepts, or amalgams are missed.
+    The amalgam's point set is B plus the points of C outside g(A); no
+    further identification is attempted, so the shared part of the two
+    images is exactly the image of A and every amalgam found is a strong
+    one.  A span that does not match A, B and C raises
+    :class:`StructureError`.  ``none-within-bound`` means that the
+    pushout's ``|B| + |C| - |A|`` points exceed ``bound``; a span of
+    embeddings is never ``impossible``.  ``options`` maps each binary tag
+    to the shapes an open slot may take (a class's
+    :attr:`~catalog.StructClass.options`); they must include every choice
+    ``predicate`` accepts, or amalgams are missed.
     """
-    quotient = _span_quotient(a, b, c, f, g, bound, predicate, options)
+    for x, y in ((f.source, a), (g.source, a), (f.target, b), (g.target, c)):
+        if not (x is y or x == y):
+            raise StructureError("amalgamate: span embeddings do not match A, B, C")
+    quotient = _forced_quotient((b, c), [(0, f.map, 1, g.map)], bound,
+                                predicate, options)
     if isinstance(quotient, str):
         return AmalgamSearch(quotient)
-    for d, (into_b, into_c) in quotient:
-        return AmalgamSearch(FOUND, Amalgam(d, into_b, into_c))
+    (into_b, into_c), tips = quotient
+    for d in tips:
+        return AmalgamSearch(FOUND, Amalgam(
+            d, Embedding(b, d, into_b, _checked=True),
+            Embedding(c, d, into_c, _checked=True)))
     return AmalgamSearch(EXHAUSTED)
 
 
@@ -452,7 +440,10 @@ def check_class_property(property_name: str, klass: StructClass, max_size: int,
     as ``(bi, ci)``.  Every instance is counted, but one whose mirror
     ``C <-g- A -f-> B`` was visited earlier is not searched again: the loop
     did not stop there, so the mirror amalgamated or was out of bound, and
-    both outcomes carry over.  Open slots take the class's options.
+    both outcomes carry over.  A searched instance is one engine call on
+    ``(B, C)`` glued along f and g, read only for whether a first tip
+    exists; the spans are orbit representatives, so they need no check.
+    Open slots take the class's options.
     Swapping B and C relabels the pushout and its completions, each slot's
     options are closed under it (:class:`~catalog.StructClass` checks it),
     class predicates are isomorphism-invariant, and the bound depends only
@@ -497,9 +488,14 @@ def check_class_property(property_name: str, klass: StructClass, max_size: int,
                             # did not stop the loop
                             status = NONE_WITHIN_BOUND if size > bound else FOUND
                         else:
-                            status = amalgamate(x, yb, yc, f, g, bound=bound,
-                                                predicate=klass.predicate,
-                                                options=klass.options).status
+                            quotient = _forced_quotient(
+                                (yb, yc), [(0, f.map, 1, g.map)], bound,
+                                klass.predicate, klass.options)
+                            if isinstance(quotient, str):
+                                status = quotient
+                            else:
+                                status = (FOUND if next(quotient[1], None)
+                                          is not None else EXHAUSTED)
                         if status == FOUND:
                             continue
                         instance = ((bi, ci) if property_name == "JEP"

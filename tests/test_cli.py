@@ -399,6 +399,8 @@ def test_cli_import_leaves_numpy_out():
 
 class TestOneParserPerProcess:
     def test_parser_is_built_once(self, chain_files, capsys, monkeypatch):
+        """The parser built at import serves every dispatch: none builds
+        another or replaces it."""
         build = cli.build_parser
         builds = []
 
@@ -406,7 +408,7 @@ class TestOneParserPerProcess:
             builds.append(1)
             return build()
 
-        monkeypatch.setattr(cli, "_parser", None)
+        parser = cli._parser
         monkeypatch.setattr(cli, "build_parser", counted)
         codes = [
             dispatch(["arrow", "check", "--C", chain_files[6],
@@ -421,7 +423,8 @@ class TestOneParserPerProcess:
         ]
         capsys.readouterr()
         assert codes == [EXIT_OK] * 5
-        assert len(builds) == 1
+        assert builds == []
+        assert cli._parser is parser
 
     def test_reused_parser_reports_as_fresh_processes(self, chain_files,
                                                       capsys):

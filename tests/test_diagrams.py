@@ -23,7 +23,6 @@ from ramsey_forge.diagrams import (
     check_class_property,
     check_commutes,
     connected_components,
-    enumerate_amalgams,
     find_cocone,
 )
 from ramsey_forge.structures import (
@@ -260,6 +259,14 @@ def test_one_span_cocone_is_the_amalgam(name):
     assert spans > 20
 
 
+def engine_amalgams(b, c, f, g, predicate=None):
+    """The engine's leg maps into B and C and every tip it finds on the
+    span ``B <-f- A -g-> C``, with the default slot options."""
+    legs, tips = diagrams._forced_quotient(
+        (b, c), [(0, f.map, 1, g.map)], None, predicate, catalog.DEFAULT_OPTIONS)
+    return legs, list(tips)
+
+
 def exhaustive_amalgams(a, b, c, f, g, predicate=None):
     """Oracle: all relation interpretations on the pushout point set that
     amalgamate the span, found by raw enumeration (independent of the
@@ -316,7 +323,7 @@ class TestAmalgamate:
         a, b = catalog.chain(1), catalog.chain(2)
         f = Embedding(a, b, (0,))
         g = Embedding(a, b, (0,))
-        found = [am.amalgam for am in enumerate_amalgams(a, b, b, f, g)]
+        _, found = engine_amalgams(b, b, f, g)
         assert all(d.size == 3 for d in found)
         orders = {d.rel("lt") for d in found}
         assert orders == {
@@ -327,12 +334,11 @@ class TestAmalgamate:
     def test_strong_graph_amalgam_edge_choices_free(self):
         k1, k2 = catalog.complete_graph(1), catalog.complete_graph(2)
         f = Embedding(k1, k2, (0,))
-        found = list(enumerate_amalgams(k1, k2, k2, f, f))
+        (into_b, into_c), found = engine_amalgams(k2, k2, f, f)
         assert len(found) == 2  # with and without the cross edge
-        assert all(am.amalgam.size == 3 for am in found)
-        for am in found:
-            overlap = set(am.into_b.map) & set(am.into_c.map)
-            assert overlap == {am.into_b.map[0]}
+        assert all(d.size == 3 for d in found)
+        # one pair of leg maps serves every tip
+        assert set(into_b) & set(into_c) == {into_b[0]}
 
     def test_matches_exhaustive_oracle(self):
         cases = [
@@ -345,8 +351,7 @@ class TestAmalgamate:
         for a, b, c, predicate in cases:
             f = Embedding(a, b, (0,))
             g = Embedding(a, c, (0,))
-            mine = {am.amalgam for am in
-                    enumerate_amalgams(a, b, c, f, g, predicate=predicate)}
+            mine = set(engine_amalgams(b, c, f, g, predicate)[1])
             oracle = set(exhaustive_amalgams(a, b, c, f, g, predicate))
             assert mine == oracle
 
@@ -408,15 +413,13 @@ class TestClassProperties:
         # superposition
         k1, k2 = catalog.complete_graph(1), catalog.complete_graph(2)
         f = Embedding(k1, k2, (0,))
-        mine = {am.amalgam for am in enumerate_amalgams(
-            k1, k2, k2, f, f, predicate=catalog.is_triangle_free)}
+        mine = set(engine_amalgams(k2, k2, f, f, catalog.is_triangle_free)[1])
         oracle = set(exhaustive_amalgams(k1, k2, k2, f, f,
                                          catalog.is_triangle_free))
         assert mine == oracle
         # the cross edge would close a triangle, so exactly the path remains
         assert len(mine) == 1
-        unconstrained = {am.amalgam
-                         for am in enumerate_amalgams(k1, k2, k2, f, f)}
+        unconstrained = set(engine_amalgams(k2, k2, f, f)[1])
         assert len(unconstrained) == 2
 
     def test_triangle_free_ap(self):
@@ -451,20 +454,66 @@ def test_mirror_skip_changes_no_report(prop, klass, max_size, bound):
         == every_instance_class_property(prop, klass, max_size, bound)
 
 
-def test_jep_searches_each_unordered_pair_once(monkeypatch):
+def engine_calls(monkeypatch):
+    """The argument tuples of every later call of the forced-quotient
+    engine."""
     calls = []
-    original = diagrams.amalgamate
+    original = diagrams._forced_quotient
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(diagrams, "amalgamate", counting)
+    monkeypatch.setattr(diagrams, "_forced_quotient", counting)
+    return calls
+
+
+def test_jep_searches_each_unordered_pair_once(monkeypatch):
+    calls = engine_calls(monkeypatch)
     report = check_class_property("JEP", catalog.CLASSES["graphs"], 4)
     members = len(catalog.CLASSES["graphs"].members_up_to(4))
     assert report.holds
     assert report.instances_checked == members * members == 324
     assert len(calls) == members * (members + 1) // 2 == 171
+
+
+@pytest.mark.parametrize("name", ["graphs", "oriented-graphs"])
+def test_ap_searches_each_instance_not_mirrored_earlier(name, monkeypatch):
+    """AP searches exactly the instances ``(ai, bi, ci, f, g)`` with
+    ``(ci, j) >= (bi, i)``, f and g the i-th and j-th orbit
+    representatives; the others are mirrors of ones searched before."""
+    klass = catalog.CLASSES[name]
+    members = klass.members_up_to(3)
+    instances = searched = 0
+    for x in members:
+        reps = [len(diagrams._orbit_representatives(x, y)) for y in members]
+        for bi, ci in itertools.product(range(len(members)), repeat=2):
+            for i, j in itertools.product(range(reps[bi]), range(reps[ci])):
+                instances += 1
+                searched += (ci, j) >= (bi, i)
+    calls = engine_calls(monkeypatch)
+    report = check_class_property("AP", klass, 3)
+    assert report.holds
+    assert report.instances_checked == instances
+    assert len(calls) == searched < instances
+
+
+@pytest.mark.parametrize("prop, name", [("AP", "graphs"), ("SAP", "graphs"),
+                                        ("JEP", "chains")])
+def test_class_check_builds_no_amalgam(prop, name, monkeypatch):
+    """A class check asks the engine only whether a first tip exists: with
+    ``amalgamate``, ``Amalgam``, ``AmalgamSearch`` and the module's
+    ``Embedding`` replaced by stand-ins that raise, the report is the
+    same."""
+    klass = catalog.CLASSES[name]
+    expected = check_class_property(prop, klass, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a class check built an amalgam or a leg")
+
+    for attr in ("amalgamate", "Amalgam", "AmalgamSearch", "Embedding"):
+        monkeypatch.setattr(diagrams, attr, refuse)
+    assert check_class_property(prop, klass, 3) == expected
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "no-asserts"])
@@ -502,9 +551,21 @@ def test_forged_completion_is_rejected(flags):
 # the forced-quotient engine against the engine as first written
 
 
-def engine_results(engine, tops, glue, bound, predicate, options):
-    """The engine's status, or its first three tips with their legs."""
-    result = engine(tops, glue, bound, predicate, options)
+def engine_results(tops, glue, bound, predicate, options):
+    """The engine's status, or its first three tips, each with the source,
+    target and map of every leg."""
+    result = diagrams._forced_quotient(tops, glue, bound, predicate, options)
+    if isinstance(result, str):
+        return result
+    legs, tips = result
+    return [(tip, [(top, tip, leg) for top, leg in zip(tops, legs)])
+            for tip in itertools.islice(tips, 3)]
+
+
+def seed_engine_results(tops, glue, bound, predicate, options):
+    """The same for ``seed_forced_quotient``, which yields certified
+    embeddings with each tip."""
+    result = seed_forced_quotient(tops, glue, bound, predicate, options)
     if isinstance(result, str):
         return result
     return [(tip, [(leg.source, leg.target, leg.map) for leg in legs])
@@ -515,8 +576,8 @@ def assert_same_engine_results(tops, glue, bound, predicate, table, callback):
     """The engine with the options ``table`` and ``seed_forced_quotient``
     with the matching ``callback`` give the same results."""
     args = tops, glue, bound, predicate
-    expected = engine_results(seed_forced_quotient, *args, callback)
-    assert engine_results(diagrams._forced_quotient, *args, table) == expected
+    expected = seed_engine_results(*args, callback)
+    assert engine_results(*args, table) == expected
     return expected
 
 
