@@ -437,32 +437,25 @@ def sierpinski_pattern(p: FinStructure) -> FinStructure:
     return two_chain_over(_two_orders(p)[0])
 
 
-def transfer_check(c: FinStructure, d: FinStructure, b: FinStructure,
-                   a: FinStructure, k: int, t: int, direction: str,
+def transfer_check(c: FinStructure, b: FinStructure, a: FinStructure,
+                   c2: FinStructure, b2: FinStructure, k: int, t: int,
                    budget: int = DEFAULT_BUDGET) -> bool | None:
     """Verify one transfer implication on a concrete instance.
 
-    direction "a": hom(C, D) nonempty and C -> (B)^A_{k,t} imply
-    D -> (B)^A_{k,t}.  direction "b": hom(D, B) nonempty and the same
-    premise imply C -> (D)^A_{k,t}.  Returns True when the implication is
-    confirmed (vacuously or not), False on a violation, None if undecided.
+    Monotonicity: embeddings C -> C2 and B2 -> B and the premise
+    C -> (B)^A_{k,t} imply C2 -> (B2)^A_{k,t}.  Pull a colouring of
+    hom(A, C2) back along C -> C2, and compose the good w with B2 -> B.
+    Transfer (a) grows C with B2 = B; transfer (b) shrinks B with C2 = C.
+    Returns True when the implication is confirmed (vacuously or not),
+    False on a violation, None if undecided.
     """
-    if direction == "a":
-        if not hom_nonempty(c, d):
-            raise EmptyHomSetError("transfer (a): hom(C, D) is empty")
-    elif direction == "b":
-        if not hom_nonempty(d, b):
-            raise EmptyHomSetError("transfer (b): hom(D, B) is empty")
-    else:
-        raise ValueError("direction must be 'a' or 'b'")
-
+    if not hom_nonempty(c, c2):
+        raise EmptyHomSetError("transfer: hom(C, C2) is empty")
+    if not hom_nonempty(b2, b):
+        raise EmptyHomSetError("transfer: hom(B2, B) is empty")
     premise = check_arrow(c, b, a, k, t, budget=budget)
     if premise.holds is None:
         return None
     if not premise.holds:
         return True
-    conclusion = (check_arrow(d, b, a, k, t, budget=budget) if direction == "a"
-                  else check_arrow(c, d, a, k, t, budget=budget))
-    if conclusion.holds is None:
-        return None
-    return bool(conclusion.holds)
+    return check_arrow(c2, b2, a, k, t, budget=budget).holds

@@ -7,16 +7,17 @@ universality audits quantify over these.
 
 This module also holds the tests of linearly ordered posets and the one
 relation completer, which fills every open slot of a partly fixed structure
-with each of its options in turn.  Class members are the completions of the
-empty structure on n points, one per isomorphism class, and :mod:`diagrams`
-completes amalgams and cocone tips with it.
+with each of its options in turn.  A class's members are the completions of
+the empty structure on n points that its predicate accepts, one per
+isomorphism class, and :mod:`diagrams` completes amalgams and cocone tips
+with it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -298,29 +299,16 @@ def _complete_structures(signature: Signature, size: int,
         yield candidate
 
 
-@lru_cache(maxsize=None)
-def _completion_types(signature: Signature, n: int,
-                      table: tuple[tuple[str, tuple[int, ...]], ...]
-                      ) -> tuple[FinStructure, ...]:
-    """The first completion of each isomorphism class among the completions
-    of the empty structure on ``n`` points with the slot table ``table``
-    (a mapping's items), in completion order."""
-    out: dict = {}
-    for s in _complete_structures(signature, n,
-                                  [set() for _ in signature.relations],
-                                  [0] * n, None, dict(table)):
-        out.setdefault(canonical_key(s), s)
-    return tuple(out.values())
-
-
 @dataclass(frozen=True)
 class StructClass:
     """An enumerable class of finite structures closed under isomorphism.
 
     Without a generator, ``members(n)`` is the first completion on ``n``
-    points of each iso class, under ``options``, that the predicate accepts.
-    The predicate must be isomorphism-invariant, as the class-property
-    checks assume, so that is the class's first completion.
+    points of each iso class, under ``options``, that the predicate accepts:
+    the completer applies the predicate, so only accepted completions are
+    keyed, and each instance keeps its members per size.  The predicate must
+    be isomorphism-invariant, as the class-property checks assume, so that
+    is the class's first completion.
     """
 
     name: str
@@ -329,6 +317,8 @@ class StructClass:
     _generate: Callable[[int], tuple[FinStructure, ...]] | None = None
     options: Mapping[str, tuple[int, ...]] = field(
         default_factory=partial(MappingProxyType, DEFAULT_OPTIONS))
+    _members: dict[int, tuple[FinStructure, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for spec in self.signature.relations:
@@ -345,9 +335,14 @@ class StructClass:
         """Iso-class representatives with exactly ``n`` elements."""
         if self._generate is not None:
             return self._generate(n)
-        types = _completion_types(self.signature, n,
-                                  tuple(sorted(self.options.items())))
-        return tuple(filter(self.predicate, types))
+        if n not in self._members:
+            first: dict = {}
+            for s in _complete_structures(self.signature, n,
+                                          [set() for _ in self.signature.relations],
+                                          [0] * n, self.predicate, self.options):
+                first.setdefault(canonical_key(s), s)
+            self._members[n] = tuple(first.values())
+        return self._members[n]
 
     def members_up_to(self, m: int) -> tuple[FinStructure, ...]:
         out: list[FinStructure] = []

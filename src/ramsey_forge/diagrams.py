@@ -450,6 +450,8 @@ def check_class_property(property_name: str, klass: StructClass, max_size: int,
     on ``|B| + |C| - |A|``.  So the first counterexample, the count and the
     undecided instances are those of searching every instance.
     """
+    if property_name not in ("HP", "JEP", "AP", "SAP"):
+        raise ValueError("property must be one of HP, JEP, AP, SAP")
     members = klass.members_up_to(max_size)
     checked = 0
     undecided: list[tuple] = []
@@ -467,12 +469,8 @@ def check_class_property(property_name: str, klass: StructClass, max_size: int,
         return ClassPropertyReport(property_name, klass.name, max_size, True,
                                    None, (), checked)
 
-    if property_name == "JEP":
-        bottoms: Sequence[FinStructure] = (_empty_structure(klass.signature),)
-    elif property_name in ("AP", "SAP"):
-        bottoms = members
-    else:
-        raise ValueError("property must be one of HP, JEP, AP, SAP")
+    bottoms: Sequence[FinStructure] = (
+        (_empty_structure(klass.signature),) if property_name == "JEP" else members)
 
     for ai, x in enumerate(bottoms):
         reps = [_orbit_representatives(x, y) for y in members]

@@ -500,11 +500,9 @@ def sap_amalgamate_metL(m: FinMetricSpace, mp: FinMetricSpace,
         px, py = label_to_pp.get(x), label_to_pp.get(y)
         if px is not None and py is not None:
             return mpp.d[px][py]
-        # one point is new on the first side, the other new on the second
-        if x < mp.size:
-            ci, cj = class_of_p[x], class_of_pp[py]
-        else:
-            ci, cj = class_of_pp[px], class_of_p[y]
+        # x < y and every point from mp.size up is on the second side, so
+        # x is new on the first side and y new on the second
+        ci, cj = class_of_p[x], class_of_pp[py]
         if ci != cj:
             return m.d[transversal[ci]][transversal[cj]]
         return s1

@@ -98,8 +98,9 @@ def _check_sierpinski() -> tuple[bool, str]:
 
 def _check_transfer() -> tuple[bool, str]:
     a, b = catalog.chain(2), catalog.chain(3)
-    ra = arrows.transfer_check(catalog.chain(6), catalog.chain(7), b, a, 2, 1, "a")
-    rb = arrows.transfer_check(catalog.chain(6), catalog.chain(2), b, a, 2, 1, "b")
+    c = catalog.chain(6)
+    ra = arrows.transfer_check(c, b, a, catalog.chain(7), b, 2, 1)
+    rb = arrows.transfer_check(c, b, a, c, catalog.chain(2), 2, 1)
     return ra is True and rb is True, f"direction a: {ra}, direction b: {rb}"
 
 

@@ -463,30 +463,47 @@ class TestSierpinski:
 
 
 class TestTransfer:
+    """C -> (B)^A, C -> C2 and B2 -> B give C2 -> (B2)^A."""
+
     def test_direction_a_chains(self):
-        assert transfer_check(catalog.chain(6), catalog.chain(7),
-                              catalog.chain(3), catalog.chain(2),
-                              2, 1, "a") is True
+        # transfer (a): a larger C2, the same B
+        b = catalog.chain(3)
+        assert transfer_check(catalog.chain(6), b, catalog.chain(2),
+                              catalog.chain(7), b, 2, 1) is True
 
     def test_direction_b_identity(self):
-        b = catalog.chain(3)
-        assert transfer_check(catalog.chain(6), b, b, catalog.chain(2),
-                              2, 1, "b") is True
+        c, b = catalog.chain(6), catalog.chain(3)
+        assert transfer_check(c, b, catalog.chain(2), c, b, 2, 1) is True
 
     def test_direction_b_smaller_target(self):
-        assert transfer_check(catalog.chain(6), catalog.chain(2),
-                              catalog.chain(3), catalog.chain(2),
-                              2, 1, "b") is True
+        # transfer (b): the same C, a smaller B2
+        c = catalog.chain(6)
+        assert transfer_check(c, catalog.chain(3), catalog.chain(2),
+                              c, catalog.chain(2), 2, 1) is True
+
+    def test_both_embeddings_proper(self):
+        assert transfer_check(catalog.chain(6), catalog.chain(3),
+                              catalog.chain(2), catalog.chain(7),
+                              catalog.chain(2), 2, 1) is True
+
+    def test_false_premise_is_vacuous(self):
+        # chain(5) -> (3)^2_2 fails, as R(3, 3) = 6
+        c = catalog.chain(5)
+        b, a = catalog.chain(3), catalog.chain(2)
+        assert check_arrow(c, b, a, 2, 1).holds is False
+        assert transfer_check(c, b, a, catalog.chain(6), b, 2, 1) is True
+
+    def test_undecided_premise(self):
+        assert transfer_check(catalog.chain(6), catalog.chain(3),
+                              catalog.chain(2), catalog.chain(7),
+                              catalog.chain(3), 2, 1, budget=1) is None
 
     def test_empty_homset_precondition(self):
+        c, b, a = catalog.chain(6), catalog.chain(3), catalog.chain(2)
         with pytest.raises(EmptyHomSetError):
-            transfer_check(catalog.chain(6), catalog.chain(5),
-                           catalog.chain(3), catalog.chain(2), 2, 1, "b")
-
-    def test_bad_direction(self):
-        with pytest.raises(ValueError):
-            transfer_check(catalog.chain(6), catalog.chain(7),
-                           catalog.chain(3), catalog.chain(2), 2, 1, "x")
+            transfer_check(c, b, a, c, catalog.chain(5), 2, 1)
+        with pytest.raises(EmptyHomSetError):
+            transfer_check(c, b, a, catalog.chain(5), b, 2, 1)
 
 
 class TestColoringValidation:

@@ -7,8 +7,6 @@ from pathlib import Path
 import ramsey_forge
 
 ALLOWED = {
-    "catalog._completion_types": "member tables per signature, size and slot "
-                                 "table, read again by every check over a class",
     "structures.enumerate_embeddings": "perfbench/layers.py reads cache_info()",
     "metric.blocks": "perfbench/layers.py reads cache_info()",
 }

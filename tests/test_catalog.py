@@ -1,6 +1,7 @@
 """Canonical keys and class enumeration against independent oracles: the
 brute-force key over all n! relabelings, and iso-class counts from OEIS."""
 
+import dataclasses
 import itertools
 import random
 from types import MappingProxyType
@@ -183,6 +184,34 @@ def test_subclass_members_are_the_filtered_members(name, whole, n):
     klass = catalog.CLASSES[name]
     assert klass.members(n) == tuple(
         filter(klass.predicate, catalog.CLASSES[whole].members(n)))
+
+
+# labelled members on n = 1..4 points: OEIS A001035 and A003024, and the
+# graphs on n labelled points with no triangle
+LABELLED_COUNTS = {
+    "posets": (1, 3, 19, 219),
+    "dags": (1, 3, 25, 543),
+    "triangle-free": (1, 2, 7, 41),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LABELLED_COUNTS))
+def test_members_key_only_accepted_completions(name, monkeypatch):
+    keyed = []
+
+    def counted(s):
+        keyed.append(s)
+        return canonical_key(s)
+
+    monkeypatch.setattr(catalog, "canonical_key", counted)
+    klass = dataclasses.replace(catalog.CLASSES[name])  # nothing kept yet
+    for n, count in enumerate(LABELLED_COUNTS[name], start=1):
+        keyed.clear()
+        members = klass.members(n)
+        assert len(keyed) == count
+        assert all(map(klass.predicate, keyed))
+        keyed.clear()
+        assert klass.members(n) is members and not keyed
 
 
 COMPLETE_GRAPHS = catalog.StructClass(

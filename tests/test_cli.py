@@ -15,6 +15,7 @@ from ramsey_forge.cli import (
     EXIT_USAGE,
     dispatch,
 )
+from ramsey_forge.selftest import all_checks
 from ramsey_forge.structures import structure_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -159,6 +160,14 @@ class TestFraisseCommand:
     def test_unknown_class_usage_error(self, capsys):
         assert dispatch(["fraisse", "check", "--class", "widgets",
                          "--property", "AP", "--max-size", "3"]) == EXIT_USAGE
+
+    def test_out_of_bound_instances_exit_two(self, capsys):
+        code, out = run(capsys, ["fraisse", "check", "--class", "graphs",
+                                 "--property", "AP", "--max-size", "2",
+                                 "--amalgam-bound", "2"])
+        doc = json.loads(out)
+        assert doc["holds"] is True and doc["undecided"] == 4
+        assert code == EXIT_UNDECIDED
 
 
 class TestDiagramCommand:
@@ -316,6 +325,13 @@ class TestMetricCommand:
         assert doc["compact"] is False
         assert doc["compact_counterexample"] == [1, 3]
 
+    def test_analyze_four_values_fail(self, capsys):
+        code, out = run(capsys, ["metric", "analyze", "--set", "0,1,2,4"])
+        assert code == EXIT_FAIL
+        doc = json.loads(out)
+        assert doc["four_values"] is False
+        assert doc["four_values_counterexample"] == [1, 1, 2, 4, 2]
+
     def test_amalgamate(self, capsys, tmp_path):
         files = {}
         spaces = {
@@ -362,6 +378,18 @@ class TestSelftest:
         doc = json.loads(out)
         assert doc["all_passed"] is True
         assert all(r["passed"] for r in doc["results"])
+
+    def test_text_format(self, capsys):
+        code, out = run(capsys, ["--format", "text", "selftest"])
+        assert code == EXIT_OK
+        names = [name for name, _ in all_checks()]
+        width = max(map(len, names))
+        lines = out.splitlines()
+        assert len(names) == 20 and len(lines) == 21
+        for name, line in zip(names, lines):
+            assert line.startswith(f"{name:<{width}}  PASS  ")
+        assert lines[-1] == "selftest: all passed"
+        assert run(capsys, ["--format", "text", "selftest"]) == (code, out)
 
 
 class TestUsage:
@@ -560,6 +588,11 @@ class TestBadInputIsUsageError:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({"set": list(values), "d": d}))
         return str(path)
+
+    def test_metric_star_non_compact_set(self, capsys, tmp_path):
+        path = self.metric_file(tmp_path, "m", [[0, 1], [1, 0]],
+                                values=(0, 1, 2, 3))
+        self.usage_error(capsys, ["metric", "star", "--in", path])
 
     def test_metric_amalgamate_map_past_the_end(self, capsys, tmp_path):
         # the shared space is taken as the first points of each side, so a

@@ -407,6 +407,38 @@ class TestClassProperties:
         with pytest.raises(ValueError):
             check_class_property("XX", catalog.CLASSES["chains"], 2)
 
+    def test_unknown_property_builds_no_members(self, monkeypatch):
+        def refuse(klass, max_size):
+            raise AssertionError("members built for an unknown property")
+        monkeypatch.setattr(catalog.StructClass, "members_up_to", refuse)
+        with pytest.raises(ValueError):
+            check_class_property("XP", catalog.CLASSES["posets"], 5)
+
+    def test_hp_counterexample(self):
+        # not hereditary: an edgeless pair sits inside every 3-point member
+        klass = catalog.StructClass(
+            "graphs-with-an-edge", catalog.GRAPH_SIG,
+            lambda s: s.size < 2 or bool(s.relations[0]))
+
+        def first_failure(max_size):
+            checked = 0
+            for mi, x in enumerate(klass.members_up_to(max_size)):
+                for r in range(1, x.size):
+                    for subset in itertools.combinations(range(x.size), r):
+                        checked += 1
+                        if restriction(x, subset) not in klass:
+                            return (mi, subset), checked
+            return None, checked
+
+        assert first_failure(2) == (None, 2)
+        assert first_failure(3) == ((2, (0, 1)), 6)
+        for max_size in (2, 3):
+            failure, checked = first_failure(max_size)
+            report = check_class_property("HP", klass, max_size)
+            assert report.holds is (failure is None)
+            assert report.counterexample == failure
+            assert report.instances_checked == checked
+
     def test_triangle_free_checker_searches_cross_edges(self):
         # compare against the raw oracle on a span where cross edges exist
         # as options: the checker must consider them, not only the free
