@@ -24,13 +24,13 @@ from ramsey_forge.structures import Embedding
 shape = BinaryDigraph(5, 3, ((0, 0), (0, 1), (1, 1), (1, 2), (2, 3), (2, 4)))
 print("components of a 5-top/3-bottom shape:", connected_components(shape))
 
-# Two copies of an edge glued over one shared vertex.  Under the
-# triangle-free predicate the cocone search returns the 3-path: the cross
-# edge would close a triangle.
+# Two copies of an edge glued over one shared vertex.  In the triangle-free
+# class the cocone search returns the 3-path: the cross edge would close a
+# triangle.
 k1, k2 = catalog.complete_graph(1), catalog.complete_graph(2)
 diagram = ab_diagram(k1, k2, [((0,), (0,), 0, 1)], n_top=2)
 result = find_cocone(diagram, max_tip_size=8,
-                     class_predicate=catalog.is_triangle_free)
+                     klass=catalog.CLASSES["triangle-free"])
 print("\ntriangle-free cocone tip:", result.cocone.tip)
 print("commutes:", check_commutes(diagram, result.cocone))
 

@@ -1,9 +1,9 @@
 """Builders for common finite structures and enumerable structure classes.
 
 A :class:`StructClass` packages a signature, a membership predicate and
-the shapes its members' open slots can take, from which its members follow
-unless it lists them in closed form; the amalgamation-property checkers and
-universality audits quantify over these.
+its open slots' shapes, checked against the tag table of :mod:`structures`;
+its members follow from these unless it lists them in closed form.  The
+amalgamation-property checkers and universality audits quantify over them.
 
 This module also holds the tests of linearly ordered posets and the one
 relation completer, which fills every open slot of a partly fixed structure
@@ -17,15 +17,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import partial
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .structures import (
+    BACKWARD,
+    FORWARD,
+    NONE,
     TAG_LINEAR,
     TAG_NONE,
     TAG_ORIENTED,
+    TAG_SHAPES,
     TAG_SYMMETRIC,
     FinStructure,
     Signature,
@@ -218,21 +221,11 @@ def is_permutational(p: FinStructure) -> tuple[int, ...] | None:
 # relation completion: class members, amalgams and cocone tips
 
 
-# the shapes of an open slot x < y: no tuple, (x, y), (y, x) or both
-NONE, FORWARD, BACKWARD, BOTH = range(4)
-# per binary tag, every shape valid for it, sparsest first; a class's table
-# keeps some of them
-DEFAULT_OPTIONS: Mapping[str, tuple[int, ...]] = MappingProxyType({
-    TAG_SYMMETRIC: (NONE, BOTH),
-    TAG_LINEAR: (FORWARD, BACKWARD),
-    TAG_ORIENTED: (NONE, FORWARD, BACKWARD),
-    TAG_NONE: (NONE, FORWARD, BACKWARD, BOTH),
-})
 # a tournament has an arc on every pair
-TOURNAMENT_OPTIONS = MappingProxyType({**DEFAULT_OPTIONS,
+TOURNAMENT_OPTIONS = MappingProxyType({**TAG_SHAPES,
                                        TAG_ORIENTED: (FORWARD, BACKWARD)})
 # a strict order (the ``none`` tag of posets and lops) has no two-way pair
-ORDER_OPTIONS = MappingProxyType({**DEFAULT_OPTIONS,
+ORDER_OPTIONS = MappingProxyType({**TAG_SHAPES,
                                   TAG_NONE: (NONE, FORWARD, BACKWARD)})
 
 
@@ -255,11 +248,11 @@ def _complete_structures(signature: Signature, size: int,
 
     Candidates are built without validation: the caller guarantees that
     the tuples of ``base`` on the points of one part are a valid structure
-    and that they agree wherever two parts meet, and every shape is valid
-    for its tag on its own, so each pair of points carries valid tuples.
-    Transitivity is the one condition on three points.  So when the
-    signature has a linear order, each candidate is validated, and an
-    intransitive one is skipped.
+    and that they agree wherever two parts meet; ``options`` is the tag
+    table or a class's, checked against it, so each pair of points carries
+    tuples validation accepts.  Transitivity is the one condition on three
+    points.  So when the signature has a linear order, each candidate is
+    validated, and an intransitive one is skipped.
     """
     pair_sets = [((), (xy,), (yx,), (xy, yx))
                  for x in range(size) for y in range(x + 1, size)
@@ -309,6 +302,9 @@ class StructClass:
     keyed, and each instance keeps its members per size.  The predicate must
     be isomorphism-invariant, as the class-property checks assume, so that
     is the class's first completion.
+
+    ``options`` holds per binary tag some shapes of the tag's row, checked
+    here.  Slots are pairs x < y, so no generated member carries a loop.
     """
 
     name: str
@@ -316,7 +312,7 @@ class StructClass:
     predicate: Callable[[FinStructure], bool]
     _generate: Callable[[int], tuple[FinStructure, ...]] | None = None
     options: Mapping[str, tuple[int, ...]] = field(
-        default_factory=partial(MappingProxyType, DEFAULT_OPTIONS))
+        default_factory=lambda: TAG_SHAPES)
     _members: dict[int, tuple[FinStructure, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -324,7 +320,7 @@ class StructClass:
         for spec in self.signature.relations:
             if spec.arity == 2 and spec.tag not in self.options:
                 raise ValueError(f"{self.name}: no options for tag {spec.tag!r}")
-        if any(not set(shapes) <= set(DEFAULT_OPTIONS.get(tag, ()))
+        if any(not set(shapes) <= set(TAG_SHAPES.get(tag, ()))
                for tag, shapes in self.options.items()):
             raise ValueError(f"{self.name}: options not valid for their tag")
         # the class-property checks skip mirrored spans, which swap x and y

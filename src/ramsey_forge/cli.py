@@ -171,11 +171,12 @@ def _diagram_from_doc(doc: dict) -> diagrams.StructDiagram:
             and isinstance(doc.get("bottom_objects"), list)
             and len(doc["top_objects"]) == raw["top"]
             and len(doc["bottom_objects"]) == raw["bottom"]
-            and structures._int_rows(doc.get("arrow_maps"))):
+            and structures._int_rows(doc.get("arrow_maps"))
+            and len(doc["arrow_maps"]) == len(raw["arrows"])):
         raise structures.StructureError(
             'a diagram is an object with a "shape" (integers "top" and "bottom", '
             '"arrows" as pairs of integers), that many "top_objects" and '
-            '"bottom_objects", and "arrow_maps" as lists of integers')
+            '"bottom_objects", and one list of integers per arrow as "arrow_maps"')
     shape = diagrams.BinaryDigraph(raw["top"], raw["bottom"],
                                    tuple(map(tuple, raw["arrows"])))
     tops = tuple(structures.structure_from_dict(d) for d in doc["top_objects"])
@@ -192,14 +193,11 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
     diagram = _read(args.infile, "diagram", _diagram_from_doc)
     if not diagram.top_objects:
         raise UsageError(f"diagram {args.infile} has no top objects")
-    within: dict = {}
-    if args.klass:
-        klass = _class(args.klass)
-        if klass.signature != diagram.top_objects[0].signature:
-            raise UsageError(f"class {args.klass!r} does not share the "
-                             "diagram's signature")
-        within = {"class_predicate": klass.predicate, "options": klass.options}
-    search = diagrams.find_cocone(diagram, args.max_tip, **within)
+    klass = _class(args.klass) if args.klass else None
+    try:
+        search = diagrams.find_cocone(diagram, args.max_tip, klass)
+    except structures.SignatureMismatchError as exc:
+        raise UsageError(str(exc)) from exc
     out: dict = {"check": "cocone", "status": search.status}
     if search.cocone is not None:
         out["tip"] = structures.structure_to_dict(search.cocone.tip)

@@ -8,18 +8,19 @@ leg per top vertex making every bottom span agree.
 One private engine, ``_forced_quotient``, builds every cocone tip and
 amalgam: the quotient of the disjoint union of the top objects by the
 identifications the bottom spans force (the pushout), completed by the
-relation completer of :mod:`catalog`.  It returns data: the leg map of
-each top, computed once per quotient, and an iterator of certified tips.
-The completer builds its candidates without validating them, and the
-engine certifies the legs without an embedding test: once per quotient,
-that the forced tuples agree with every top, and once per completion, that
-the tip keeps the forced tuples and adds none inside one top's image.
-:func:`find_cocone` and :func:`amalgamate` wrap the maps as legs of the one
-tip they return; :func:`check_class_property` reads only whether a first
-tip exists, so it builds no legs and no result objects.  Joint embedding is
-amalgamation over the empty structure.  Only forced quotients are tried:
-merging points beyond what the spans force is never attempted, so a search
-that finds nothing does not prove that no cocone or amalgam exists.
+relation completer of :mod:`catalog` with a class's slot table or the tag
+table.  It returns the leg map of each top, computed once per quotient,
+and an iterator of certified tips.  The completer builds its candidates
+without validating them, and the engine certifies the legs without an
+embedding test: once per quotient, that the forced tuples agree with every
+top, and once per completion, that the tip keeps the forced tuples and
+adds none inside one top's image.  :func:`find_cocone` and
+:func:`amalgamate` wrap the maps as legs of the one tip they return;
+:func:`check_class_property` reads only whether a first tip exists, so it
+builds no legs and no result objects.  Joint embedding is amalgamation
+over the empty structure.  Only forced quotients are tried: merging points
+beyond what the spans force is never attempted, so a search that finds
+nothing does not prove that no cocone or amalgam exists.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .catalog import (
-    DEFAULT_OPTIONS,
     StructClass,
     _complete_structures,
 )
 from .structures import (
+    TAG_SHAPES,
     Embedding,
     FinStructure,
     Signature,
@@ -291,9 +292,7 @@ def _forced_quotient(tops: Sequence[FinStructure],
 
 
 def find_cocone(diagram: StructDiagram, max_tip_size: int,
-                class_predicate: Callable[[FinStructure], bool] | None = None,
-                options: Mapping[str, tuple[int, ...]] = DEFAULT_OPTIONS
-                ) -> CoconeSearch:
+                klass: StructClass | None = None) -> CoconeSearch:
     """Search for a commuting cocone on the forced quotient.
 
     A thin adapter onto the engine that :func:`amalgamate` shares, which
@@ -305,16 +304,20 @@ def find_cocone(diagram: StructDiagram, max_tip_size: int,
     give ``none-within-bound``, yet identity legs into K2 commute.)  Two
     outcomes are proofs: a forced merge inside one top object, or
     contradictory forced relations, make a cocone impossible outright.
-    ``options`` are as in :func:`amalgamate`.
+    Given ``klass``, the tip is a member and open slots take its options.
     """
     shape = diagram.shape
     if shape.n_top == 0:
         raise ValueError("diagram has no top objects")
+    if klass is not None and klass.signature != diagram.top_objects[0].signature:
+        raise SignatureMismatchError(f"class {klass.name!r} does not share the "
+                                     "diagram's signature")
     glue = [(shape.arrows[a1][1], diagram.arrow_maps[a1].map,
              shape.arrows[a2][1], diagram.arrow_maps[a2].map)
             for a1, a2 in map(shape.arrows_of, range(shape.n_bottom))]
     quotient = _forced_quotient(diagram.top_objects, glue, max_tip_size,
-                                class_predicate, options)
+                                klass.predicate if klass else None,
+                                klass.options if klass else TAG_SHAPES)
     if isinstance(quotient, str):
         return CoconeSearch(quotient)
     maps, tips = quotient
@@ -344,8 +347,7 @@ class AmalgamSearch:
 
 def amalgamate(a: FinStructure, b: FinStructure, c: FinStructure,
                f: Embedding, g: Embedding, bound: int | None = None,
-               predicate: Callable[[FinStructure], bool] | None = None,
-               options: Mapping[str, tuple[int, ...]] = DEFAULT_OPTIONS
+               predicate: Callable[[FinStructure], bool] | None = None
                ) -> AmalgamSearch:
     """First pushout-shaped amalgam of the span ``B <-f- A -g-> C`` that
     the engine finds, or why there is none.
@@ -356,16 +358,15 @@ def amalgamate(a: FinStructure, b: FinStructure, c: FinStructure,
     one.  A span that does not match A, B and C raises
     :class:`StructureError`.  ``none-within-bound`` means that the
     pushout's ``|B| + |C| - |A|`` points exceed ``bound``; a span of
-    embeddings is never ``impossible``.  ``options`` maps each binary tag
-    to the shapes an open slot may take (a class's
-    :attr:`~catalog.StructClass.options`); they must include every choice
-    ``predicate`` accepts, or amalgams are missed.
+    embeddings is never ``impossible``.  Open slots take every shape of
+    the tag table :data:`~structures.TAG_SHAPES`, so the amalgam is the
+    first completion that ``predicate`` accepts.
     """
     for x, y in ((f.source, a), (g.source, a), (f.target, b), (g.target, c)):
         if not (x is y or x == y):
             raise StructureError("amalgamate: span embeddings do not match A, B, C")
     quotient = _forced_quotient((b, c), [(0, f.map, 1, g.map)], bound,
-                                predicate, options)
+                                predicate, TAG_SHAPES)
     if isinstance(quotient, str):
         return AmalgamSearch(quotient)
     (into_b, into_c), tips = quotient

@@ -114,7 +114,7 @@ def _check_cocones() -> tuple[bool, str]:
     k2 = catalog.complete_graph(2)
     gspan = diagrams.ab_diagram(catalog.complete_graph(1), k2,
                                 [((0,), (0,), 0, 1)], n_top=2)
-    r3 = diagrams.find_cocone(gspan, 4, catalog.is_triangle_free)
+    r3 = diagrams.find_cocone(gspan, 4, catalog.CLASSES["triangle-free"])
     path3 = catalog.path_graph(3)
     ok = (r1.status == diagrams.FOUND and r1.cocone.tip == b
           and r2.status == diagrams.FOUND and r2.cocone.tip.size == 3

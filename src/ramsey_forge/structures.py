@@ -1,9 +1,9 @@
 """Finite relational structures, embeddings, and isomorphism.
 
 Everything downstream (arrow checks, diagrams, universal-structure audits)
-is built on the types in this module.  Domains are always the initial
-segment ``{0, ..., n-1}``; named vertices belong to I/O layers only, which
-keeps hom-set enumeration canonical and structures hashable.
+is built on the types in this module; validation and completion read its
+tag table.  Domains are always ``{0, ..., n-1}``; named vertices belong to
+I/O layers only, which keeps hom-sets canonical and structures hashable.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -14,7 +14,8 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class StructureError(ValueError):
@@ -25,14 +26,25 @@ class SignatureMismatchError(StructureError):
     """Two structures that must share a signature do not."""
 
 
-# Relation tags restrict what counts as a valid interpretation and drive
-# completion enumeration in amalgamation searches.
 TAG_NONE = "none"
 TAG_SYMMETRIC = "symmetric-irreflexive"
 TAG_LINEAR = "linear-order"
 TAG_ORIENTED = "irreflexive-antisymmetric"
 
-VALID_TAGS = (TAG_NONE, TAG_SYMMETRIC, TAG_LINEAR, TAG_ORIENTED)
+# The shape of a pair x < y is FORWARD if (x, y) is present plus BACKWARD
+# if (y, x) is.  Per tag, every shape valid for it, sparsest first; a
+# tagged relation holds no loop.  An untagged one may, but completion opens
+# only slots x < y, so no completed member carries a loop.
+NONE, FORWARD, BACKWARD, BOTH = range(4)
+TAG_SHAPES: Mapping[str, tuple[int, ...]] = MappingProxyType({
+    TAG_NONE: (NONE, FORWARD, BACKWARD, BOTH),
+    TAG_SYMMETRIC: (NONE, BOTH),
+    TAG_LINEAR: (FORWARD, BACKWARD),
+    TAG_ORIENTED: (NONE, FORWARD, BACKWARD),
+})
+_SHAPE_NAMES = ("NONE", "FORWARD", "BACKWARD", "BOTH")
+
+VALID_TAGS = tuple(TAG_SHAPES)
 
 
 @dataclass(frozen=True)
@@ -78,39 +90,30 @@ class Signature:
 
 
 def _validate_tag(name: str, tag: str, size: int, tuples: frozenset[tuple[int, ...]]) -> None:
-    if tag == TAG_SYMMETRIC:
-        for t in tuples:
-            x, y = t
-            if x == y:
-                raise StructureError(f"{name}: loop {t} in symmetric-irreflexive relation")
-            if (y, x) not in tuples:
-                raise StructureError(f"{name}: missing symmetric pair for {t}")
-    elif tag == TAG_ORIENTED:
-        for t in tuples:
-            x, y = t
-            if x == y:
-                raise StructureError(f"{name}: loop {t} in oriented relation")
-            if (y, x) in tuples:
-                raise StructureError(f"{name}: both {t} and {(y, x)} present")
-    elif tag == TAG_LINEAR:
-        below = [0] * size
-        for x, y in tuples:
-            if x == y:
-                raise StructureError(f"{name}: loop ({x},{x}) in linear order")
-            if (y, x) in tuples:
-                raise StructureError(f"{name}: not a strict total order at ({x},{y})")
-            below[y] += 1
-        if len(tuples) != size * (size - 1) // 2:
-            x, y = next(p for p in itertools.combinations(range(size), 2)
-                        if p not in tuples and p[::-1] not in tuples)
-            raise StructureError(f"{name}: not a strict total order at ({x},{y})")
-        # a tournament is transitive iff its in-degrees are 0, ..., size-1;
-        # else some u -> v have equal in-degree, and v beats a w u does not
-        if sorted(below) != list(range(size)):
-            u, v = next((u, v) for u, v in tuples if below[u] == below[v])
-            w = next(w for w in range(size)
-                     if (v, w) in tuples and (u, w) not in tuples)
-            raise StructureError(f"{name}: order not transitive at ({u},{v},{w})")
+    shapes = TAG_SHAPES[tag]
+    below = [0] * size
+    for x, y in tuples:
+        if x == y:
+            raise StructureError(f"{name}: loop ({x},{y}) in {tag} relation")
+        below[y] += 1
+        shape = BOTH if (y, x) in tuples else FORWARD if x < y else BACKWARD
+        if shape not in shapes:
+            raise StructureError(f"{name}: pair ({min(x, y)},{max(x, y)}) has shape "
+                                 f"{_SHAPE_NAMES[shape]}, not valid for {tag}")
+    # without BOTH, each pair holds at most one tuple, so fewer tuples than
+    # pairs is the only way to leave a pair empty
+    if NONE not in shapes and (BOTH in shapes or len(tuples) < size * (size - 1) // 2):
+        for x, y in itertools.combinations(range(size), 2):
+            if (x, y) not in tuples and (y, x) not in tuples:
+                raise StructureError(f"{name}: pair ({x},{y}) has shape NONE, "
+                                     f"not valid for {tag}")
+    # a tournament is transitive iff its in-degrees are 0, ..., size-1;
+    # else some u -> v have equal in-degree, and v beats a w u does not
+    if tag == TAG_LINEAR and sorted(below) != list(range(size)):
+        u, v = next((u, v) for u, v in tuples if below[u] == below[v])
+        w = next(w for w in range(size)
+                 if (v, w) in tuples and (u, w) not in tuples)
+        raise StructureError(f"{name}: order not transitive at ({u},{v},{w})")
 
 
 @dataclass(frozen=True)
@@ -141,7 +144,8 @@ class FinStructure:
                     raise StructureError(f"{spec.name}: tuple {t} has wrong arity")
                 if any(not (0 <= v < self.size) for v in t):
                     raise StructureError(f"{spec.name}: tuple {t} out of range")
-            _validate_tag(spec.name, spec.tag, self.size, tuples)
+            if spec.tag != TAG_NONE:
+                _validate_tag(spec.name, spec.tag, self.size, tuples)
 
     @staticmethod
     def build(signature: Signature, size: int,

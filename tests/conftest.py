@@ -47,9 +47,12 @@ from ramsey_forge.arrows import (
     Coloring,
     _arrow_instance,
 )
-from ramsey_forge.catalog import BACKWARD, BOTH, FORWARD, NONE
 from ramsey_forge.diagrams import IMPOSSIBLE, NONE_WITHIN_BOUND
 from ramsey_forge.structures import (
+    BACKWARD,
+    BOTH,
+    FORWARD,
+    NONE,
     TAG_LINEAR,
     TAG_NONE,
     TAG_ORIENTED,

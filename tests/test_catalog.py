@@ -10,9 +10,14 @@ import pytest
 
 from ramsey_forge import catalog, diagrams
 from ramsey_forge.structures import (
+    BACKWARD,
+    BOTH,
+    FORWARD,
+    NONE,
     TAG_LINEAR,
     TAG_NONE,
     TAG_ORIENTED,
+    TAG_SHAPES,
     TAG_SYMMETRIC,
     FinStructure,
     StructureError,
@@ -77,8 +82,8 @@ SOURCES["dags"] = SOURCES["oriented-graphs"]
 
 # the table linearly ordered posets were once completed with, as the library
 # held it: omega is the natural order and po may only agree with it
-LOPS_MEMBER_OPTIONS = MappingProxyType({TAG_LINEAR: (catalog.FORWARD,),
-                                        TAG_NONE: (catalog.NONE, catalog.FORWARD)})
+LOPS_MEMBER_OPTIONS = MappingProxyType({TAG_LINEAR: (FORWARD,),
+                                        TAG_NONE: (NONE, FORWARD)})
 
 
 def random_oriented(rng, n):
@@ -216,7 +221,7 @@ def test_members_key_only_accepted_completions(name, monkeypatch):
 
 COMPLETE_GRAPHS = catalog.StructClass(
     "complete-graphs", catalog.GRAPH_SIG, catalog.always,
-    options={TAG_SYMMETRIC: (catalog.BOTH,)})
+    options={TAG_SYMMETRIC: (BOTH,)})
 
 
 def test_table_class_lists_its_members_from_its_table():
@@ -282,7 +287,7 @@ ALL_TAGS = (TAG_NONE, TAG_SYMMETRIC, TAG_LINEAR, TAG_ORIENTED)
 
 
 @pytest.mark.parametrize("table, callback, tags", [
-    (catalog.DEFAULT_OPTIONS, _slot_options, ALL_TAGS),
+    (TAG_SHAPES, _slot_options, ALL_TAGS),
     (catalog.TOURNAMENT_OPTIONS, _tournament_options, (TAG_ORIENTED,)),
     (catalog.ORDER_OPTIONS, _order_options, ALL_TAGS),
     (LOPS_MEMBER_OPTIONS, LOPS_OPTIONS, (TAG_NONE, TAG_LINEAR)),
@@ -298,27 +303,27 @@ def test_options_tables_expand_to_the_seed_callbacks(table, callback, tags):
 
 
 def test_class_options_must_be_closed_under_the_swap():
-    table = {**catalog.DEFAULT_OPTIONS,
-             TAG_ORIENTED: (catalog.NONE, catalog.FORWARD)}
+    table = {**TAG_SHAPES,
+             TAG_ORIENTED: (NONE, FORWARD)}
     with pytest.raises(ValueError, match="not closed under the swap"):
         catalog.StructClass("forward-only", catalog.ORIENTED_SIG, catalog.always,
                             lambda n: (), table)
 
 
 @pytest.mark.parametrize("shapes", [
-    (catalog.NONE, catalog.FORWARD, catalog.BACKWARD, catalog.BOTH),
-    (catalog.FORWARD, catalog.BACKWARD, catalog.BOTH),
+    (NONE, FORWARD, BACKWARD, BOTH),
+    (FORWARD, BACKWARD, BOTH),
 ])
 def test_class_options_must_be_valid_for_their_tag(shapes):
     # a symmetric relation has no one-way pair
-    table = {**catalog.DEFAULT_OPTIONS, TAG_SYMMETRIC: shapes}
+    table = {**TAG_SHAPES, TAG_SYMMETRIC: shapes}
     with pytest.raises(ValueError, match="not valid for their tag"):
         catalog.StructClass("graphs-with-arcs", catalog.GRAPH_SIG, catalog.always,
                             options=table)
 
 
 def test_class_options_must_cover_every_binary_tag():
-    table = {TAG_SYMMETRIC: catalog.DEFAULT_OPTIONS[TAG_SYMMETRIC]}
+    table = {TAG_SYMMETRIC: TAG_SHAPES[TAG_SYMMETRIC]}
     with pytest.raises(ValueError, match="no options for tag"):
         catalog.StructClass("untabled-orientations", catalog.ORIENTED_SIG,
                             catalog.always, options=table)
@@ -421,7 +426,7 @@ def test_completer_matches_the_seed_completer_on_mixed_signature(seed):
     base = [{t for t in tuples if inside(t)} for tuples in world.relations]
     for predicate in (None, lambda s: len(s.relations[1]) % 2 == 0):
         assert_same_candidates(MIXED_SIG, n, base, covers, predicate,
-                               catalog.DEFAULT_OPTIONS, _slot_options, limit=300)
+                               TAG_SHAPES, _slot_options, limit=300)
 
 
 def test_completer_matches_the_seed_completer_on_lops_member_options():

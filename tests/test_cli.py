@@ -556,8 +556,18 @@ class TestBadInputIsUsageError:
         chain3_doc(relations={"lt": [[0, 1.0], [0, 2], [1, 2]]}),
         chain3_doc(relations={"lt": 5}),
         chain3_doc(signature=[{"name": "lt", "arity": "2", "tag": "linear-order"}]),
+        chain3_doc(signature=[{"name": "lt", "arity": 0}], relations={}),
+        chain3_doc(signature=[{"name": "lt", "arity": 2, "tag": "strict"}]),
+        chain3_doc(signature=[{"name": "lt", "arity": 3, "tag": "linear-order"}],
+                   relations={}),
+        chain3_doc(signature=[{"name": "lt", "arity": 2},
+                              {"name": "lt", "arity": 2}], relations={}),
+        chain3_doc(signature=[{"name": "lt", "arity": 2,
+                               "tag": "irreflexive-antisymmetric"}],
+                   relations={"lt": [[0, 1], [1, 1]]}),
     ], ids=["list", "no-signature", "string-size", "bool-size", "string-in-tuple",
-            "float-in-tuple", "relation-not-a-list", "string-arity"])
+            "float-in-tuple", "relation-not-a-list", "string-arity", "arity-0",
+            "unknown-tag", "tagged-ternary", "duplicate-names", "oriented-loop"])
     def test_arrow_structure_of_the_wrong_shape(self, chain_files, capsys,
                                                 tmp_path, doc):
         bad = tmp_path / "bad.json"
@@ -667,8 +677,11 @@ class TestBadInputIsUsageError:
         lambda doc: {**doc, "arrow_maps": 5},
         lambda doc: {**doc, "shape": {**doc["shape"], "top": "1"}},
         lambda doc: {**doc, "bottom_objects": []},
+        lambda doc: {**doc, "arrow_maps": [[0], [0], [1]]},
+        lambda doc: {**doc, "shape": {**doc["shape"], "arrows": [[0, 0], [0, 2]]}},
     ], ids=["list", "top-object-not-a-structure", "maps-not-a-list",
-            "string-top", "fewer-bottom-objects-than-the-shape"])
+            "string-top", "fewer-bottom-objects-than-the-shape",
+            "more-maps-than-arrows", "arrow-to-a-missing-top"])
     def test_diagram_of_the_wrong_shape(self, capsys, tmp_path, change):
         path = tmp_path / "diagram.json"
         path.write_text(json.dumps(change(self.span_doc())))

@@ -26,6 +26,9 @@ from ramsey_forge.diagrams import (
     find_cocone,
 )
 from ramsey_forge.structures import (
+    BOTH,
+    TAG_ORIENTED,
+    TAG_SHAPES,
     Embedding,
     FinStructure,
     SignatureMismatchError,
@@ -184,7 +187,7 @@ class TestFindCocone:
         k2 = catalog.complete_graph(2)
         d = ab_diagram(catalog.complete_graph(1), k2,
                        [((0,), (0,), 0, 1)], n_top=2)
-        r = find_cocone(d, 8, catalog.is_triangle_free)
+        r = find_cocone(d, 8, catalog.CLASSES["triangle-free"])
         assert r.status == FOUND
         assert are_isomorphic(r.cocone.tip, catalog.path_graph(3))[0]
 
@@ -214,11 +217,26 @@ class TestFindCocone:
             StructDiagram(BinaryDigraph(2, 0, ()),
                           (catalog.complete_graph(2), catalog.chain(2)), (), ())
 
+    def test_diagram_without_tops_is_rejected(self):
+        empty = StructDiagram(BinaryDigraph(0, 0, ()), (), (), ())
+        with pytest.raises(ValueError, match="no top objects"):
+            find_cocone(empty, 4)
+
+    def test_class_of_another_signature_is_rejected(self):
+        # the chains table has a row for every tag, so without the check
+        # a graph tip would be returned as a member of chains
+        d = ab_diagram(catalog.complete_graph(1), catalog.complete_graph(2),
+                       [((0,), (0,), 0, 1)], n_top=2)
+        with pytest.raises(SignatureMismatchError, match="'chains' does not share"):
+            find_cocone(d, 4, catalog.CLASSES["chains"])
+
     def test_predicate_can_exhaust(self):
         # a single edge can never satisfy "empty graph" on its image
         k2 = catalog.complete_graph(2)
         d = ab_diagram(catalog.complete_graph(1), k2, [], n_top=1)
-        r = find_cocone(d, 4, lambda s: not s.rel("E"))
+        edgeless = catalog.StructClass("edgeless", catalog.GRAPH_SIG,
+                                       lambda s: not s.rel("E"))
+        r = find_cocone(d, 4, edgeless)
         assert r.status == EXHAUSTED
 
     def test_found_cocones_always_commute(self):
@@ -250,7 +268,7 @@ def test_one_span_cocone_is_the_amalgam(name):
                 spans += 1
                 search = amalgamate(a, b, b, f, g, predicate=klass.predicate)
                 diagram = ab_diagram(a, b, [(f.map, g.map, 0, 1)], n_top=2)
-                cocone = find_cocone(diagram, 2 * b.size, klass.predicate)
+                cocone = find_cocone(diagram, 2 * b.size, klass)
                 assert cocone.status == search.status
                 if search.status == FOUND:
                     assert cocone.cocone.tip == search.result.amalgam
@@ -263,7 +281,7 @@ def engine_amalgams(b, c, f, g, predicate=None):
     """The engine's leg maps into B and C and every tip it finds on the
     span ``B <-f- A -g-> C``, with the default slot options."""
     legs, tips = diagrams._forced_quotient(
-        (b, c), [(0, f.map, 1, g.map)], None, predicate, catalog.DEFAULT_OPTIONS)
+        (b, c), [(0, f.map, 1, g.map)], None, predicate, TAG_SHAPES)
     return legs, list(tips)
 
 
@@ -354,6 +372,26 @@ class TestAmalgamate:
             mine = set(engine_amalgams(b, c, f, g, predicate)[1])
             oracle = set(exhaustive_amalgams(a, b, c, f, g, predicate))
             assert mine == oracle
+
+    def test_span_that_misses_b_is_rejected(self):
+        a, b = catalog.chain(1), catalog.chain(2)
+        f = Embedding(a, catalog.chain(3), (0,))
+        g = Embedding(a, b, (0,))
+        with pytest.raises(StructureError, match="do not match A, B, C"):
+            amalgamate(a, b, b, f, g)
+
+    def test_no_caller_table(self):
+        """Slot tables reach the engine only through a class, so a table
+        that would let an oriented pair hold both arcs, which no valid
+        amalgam has, cannot be passed."""
+        a = catalog.oriented_graph(1, [])
+        b = catalog.oriented_graph(2, [])
+        f = Embedding(a, b, (0,))
+        with pytest.raises(TypeError):
+            amalgamate(a, b, b, f, f, options={TAG_ORIENTED: (BOTH,)})
+        with pytest.raises(TypeError):
+            find_cocone(ab_diagram(a, b, [((0,), (0,), 0, 1)], 2), 3,
+                        options={TAG_ORIENTED: (BOTH,)})
 
     def test_bound_respected(self):
         a, b = catalog.chain(1), catalog.chain(3)
@@ -689,7 +727,7 @@ def test_engine_matches_the_seed_engine_on_seeded_diagrams(name):
     and none.  The class predicate is used on quotients of up to 4 points,
     so that a search that rejects every candidate stays small."""
     klass = catalog.CLASSES.get(name)
-    table = klass.options if klass else catalog.DEFAULT_OPTIONS
+    table = klass.options if klass else TAG_SHAPES
     rng = random.Random(name)
     seen = set()
     for _ in range(150):

@@ -6,8 +6,18 @@ import pytest
 
 from ramsey_forge import catalog, universes
 from ramsey_forge.structures import (
+    BACKWARD,
+    BOTH,
+    FORWARD,
+    NONE,
+    TAG_LINEAR,
+    TAG_NONE,
+    TAG_ORIENTED,
+    TAG_SHAPES,
+    TAG_SYMMETRIC,
     Embedding,
     FinStructure,
+    Signature,
     SignatureMismatchError,
     StructureError,
     _embedding_search,
@@ -311,6 +321,35 @@ class TestIsomorphism:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("tag, row", [
+        (TAG_NONE, (NONE, FORWARD, BACKWARD, BOTH)),
+        (TAG_SYMMETRIC, (NONE, BOTH)),
+        (TAG_LINEAR, (FORWARD, BACKWARD)),
+        (TAG_ORIENTED, (NONE, FORWARD, BACKWARD)),
+    ])
+    def test_pair_shapes_follow_the_tag_table(self, tag, row):
+        """On two points, a relation is accepted exactly when the shape of
+        the pair (0, 1) is in its tag's row of the table, and a loop only
+        when it is untagged."""
+        assert TAG_SHAPES[tag] == row
+        sig = Signature.make(("R", 2, tag))
+        tuples = {NONE: [], FORWARD: [(0, 1)], BACKWARD: [(1, 0)],
+                  BOTH: [(0, 1), (1, 0)]}
+        accepted = set()
+        for shape, pair in tuples.items():
+            try:
+                FinStructure.build(sig, 2, {"R": pair})
+                accepted.add(shape)
+            except StructureError:
+                pass
+        assert accepted == set(row)
+        looped = tuples[row[0]] + [(1, 1)]
+        if tag == TAG_NONE:
+            FinStructure.build(sig, 2, {"R": looped})
+        else:
+            with pytest.raises(StructureError, match=r"^R: loop \(1,1\)"):
+                FinStructure.build(sig, 2, {"R": looped})
+
     def test_symmetric_tag_enforced(self):
         with pytest.raises(StructureError):
             FinStructure.build(catalog.GRAPH_SIG, 2, {"E": [(0, 1)]})

@@ -69,5 +69,6 @@ def test_invalid_trusted_build_is_caught(revalidate_trusted_builds):
     bad = FinStructure(catalog.GRAPH_SIG, 2, (frozenset({(0, 1)}),),
                        _checked=True)
     assert revalidate_trusted_builds == [
-        (bad, "E: missing symmetric pair for (0, 1)")]
+        (bad, "E: pair (0,1) has shape FORWARD, not valid for "
+               "symmetric-irreflexive")]
     revalidate_trusted_builds.clear()  # caught: let the fixture pass
