@@ -246,21 +246,37 @@ def _complete_structures(signature: Signature, size: int,
     candidate relation is one union of its fixed tuples with the tuple sets
     picked for its slots.
 
+    The product's first candidate puts every slot at its first shape.  When
+    that is :data:`~structures.NONE` for every binary tag (unary and
+    ternary slots start absent), it is the fixed tuples alone, the bare
+    pushout: it is built and tried before the slots are listed, and the
+    product then runs from its second candidate.  The sequence is the same,
+    but a caller that stops at its first tip, as every caller does, lists
+    no slot when the bare candidate is accepted.
+
     Candidates are built without validation: the caller guarantees that
     the tuples of ``base`` on the points of one part are a valid structure
     and that they agree wherever two parts meet; ``options`` is the tag
     table or a class's, checked against it, so each pair of points carries
     tuples validation accepts.  Transitivity is the one condition on three
     points.  So when the signature has a linear order, each candidate is
-    validated, and an intransitive one is skipped.
+    validated, and an intransitive one is skipped.  A linear order's shapes
+    hold no ``NONE``, so a bare candidate is never validated.
     """
+    fixed = [frozenset(tuples) for tuples in base]
+    bare = all(options[spec.tag][0] == NONE
+               for spec in signature.relations if spec.arity == 2)
+    if bare:
+        candidate = FinStructure(signature, size, tuple(fixed), _checked=True)
+        if predicate is None or predicate(candidate):
+            yield candidate
     pair_sets = [((), (xy,), (yx,), (xy, yx))
                  for x in range(size) for y in range(x + 1, size)
                  if not covers[x] & covers[y] for xy, yx in [((x, y), (y, x))]]
     slot_axes: list[Sequence[tuple[tuple[int, ...], ...]]] = []
     # per relation, its fixed tuples and its run of slot_axes
     frozen_base: list[tuple[frozenset[tuple[int, ...]], slice]] = []
-    for spec, fixed in zip(signature.relations, base, strict=True):
+    for spec, tuples in zip(signature.relations, fixed, strict=True):
         start = len(slot_axes)
         if spec.arity == 2:
             # each open pair's tuple sets of the tag's shapes, in order; an
@@ -275,10 +291,10 @@ def _complete_structures(signature: Signature, size: int,
                     mask &= covers[p]
                 if not mask:
                     slot_axes.append([(), (t,)])
-        frozen_base.append((frozenset(fixed), slice(start, len(slot_axes))))
+        frozen_base.append((tuples, slice(start, len(slot_axes))))
     trusted = all(spec.tag != TAG_LINEAR for spec in signature.relations)
 
-    for choice in itertools.product(*slot_axes):
+    for choice in itertools.islice(itertools.product(*slot_axes), bare, None):
         relations = tuple([b.union(*choice[run]) for b, run in frozen_base])
         if trusted:
             candidate = FinStructure(signature, size, relations, _checked=True)
@@ -323,7 +339,8 @@ class StructClass:
         if any(not set(shapes) <= set(TAG_SHAPES.get(tag, ()))
                for tag, shapes in self.options.items()):
             raise ValueError(f"{self.name}: options not valid for their tag")
-        # the class-property checks skip mirrored spans, which swap x and y
+        # the class-property checks skip mirrored and twisted spans, whose
+        # pushouts are relabelled ones; a relabelling may swap x and y
         if any((FORWARD in s) != (BACKWARD in s) for s in self.options.values()):
             raise ValueError(f"{self.name}: options not closed under the swap")
 

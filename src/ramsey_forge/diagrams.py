@@ -212,7 +212,9 @@ def _forced_quotient(tops: Sequence[FinStructure],
     leg.  Once per quotient: the forced tuples agree with every top on its
     image; only a tuple whose points are all shared (in two or more tops'
     images, the glued points) can lie in two tops' images, so only those
-    are looked up, and the inverse legs are built only when one does.
+    are looked up, each in the mapped tuples of every top whose image
+    holds it.  Top 0's leg is the identity, so only the other tops' tuples
+    are mapped.
     Once per completion: the tip keeps every forced tuple and adds none
     inside one top's image.  Each leg is injective, so it then preserves
     and reflects every relation, and a completion that fails raises
@@ -245,22 +247,21 @@ def _forced_quotient(tops: Sequence[FinStructure],
         for p in leg:
             covers[p] |= 1 << ti
     shared = {p for p, m in enumerate(covers) if m & (m - 1)}
-    inverses = None
     base: list[frozenset[tuple[int, ...]]] = []
     for ri in range(len(tops[0].relations)):
-        forced = frozenset([tuple(map(leg.__getitem__, t))
-                            for s, leg in zip(tops, legs)
-                            for t in s.relations[ri]])
+        # top 0's points are their own roots, numbered first, so its leg is
+        # the identity and its tuples are their own images
+        images = [tops[0].relations[ri]] + [
+            frozenset([tuple(map(leg.__getitem__, t)) for t in s.relations[ri]])
+            for s, leg in zip(tops[1:], legs[1:])]
+        forced = images[0].union(*images[1:])
         for image in filter(shared.issuperset, forced):
             inside = -1
             for p in image:
                 inside &= covers[p]
             if inside & (inside - 1):
-                if inverses is None:
-                    inverses = [{p: v for v, p in enumerate(leg)} for leg in legs]
-                for tj, inv in enumerate(inverses):
-                    if (inside >> tj & 1 and tuple(inv[p] for p in image)
-                            not in tops[tj].relations[ri]):
+                for tj, tuples in enumerate(images):
+                    if inside >> tj & 1 and image not in tuples:
                         return IMPOSSIBLE
         base.append(forced)
     # the legs commute on the glue, and the points in two tops' images are
@@ -399,21 +400,23 @@ class ClassPropertyReport:
                 f"({self.instances_checked} instances{extra})")
 
 
-def _orbit_representatives(x: FinStructure, y: FinStructure) -> tuple[Embedding, ...]:
-    """Embeddings X -> Y up to post-composition with Aut(Y)."""
+def _orbit_representatives(x: FinStructure, y: FinStructure
+                           ) -> tuple[tuple[Embedding, ...], dict[tuple[int, ...], int]]:
+    """Embeddings X -> Y up to post-composition with Aut(Y): the first
+    embedding of each orbit, and the index of its orbit per embedding map."""
     homxy = enumerate_embeddings(x, y)
     if not homxy:
-        return ()
+        return (), {}
     auts = automorphisms(y)
-    seen: set[tuple[int, ...]] = set()
+    orbit: dict[tuple[int, ...], int] = {}
     reps = []
     for e in homxy:
-        if e.map in seen:
+        if e.map in orbit:
             continue
-        reps.append(e)
         for alpha in auts:
-            seen.add(tuple(alpha.map[v] for v in e.map))
-    return tuple(reps)
+            orbit[tuple(alpha.map[v] for v in e.map)] = len(reps)
+        reps.append(e)
+    return tuple(reps), orbit
 
 
 def _empty_structure(signature: Signature) -> FinStructure:
@@ -435,20 +438,31 @@ def check_class_property(property_name: str, klass: StructClass, max_size: int,
     failed.
 
     AP and SAP instances ``(A, B, C, f, g)`` are visited with f and g
-    running over Aut(B)- and Aut(C)-orbit representatives.  JEP runs the
-    same loop with the empty structure as the only A, so f and g are the
-    empty maps and its instances are the member pairs ``(B, C)``, reported
-    as ``(bi, ci)``.  Every instance is counted, but one whose mirror
-    ``C <-g- A -f-> B`` was visited earlier is not searched again: the loop
-    did not stop there, so the mirror amalgamated or was out of bound, and
-    both outcomes carry over.  A searched instance is one engine call on
-    ``(B, C)`` glued along f and g, read only for whether a first tip
-    exists; the spans are orbit representatives, so they need no check.
-    Open slots take the class's options.
-    Swapping B and C relabels the pushout and its completions, each slot's
-    options are closed under it (:class:`~catalog.StructClass` checks it),
-    class predicates are isomorphism-invariant, and the bound depends only
-    on ``|B| + |C| - |A|``.  So the first counterexample, the count and the
+    running over Aut(B)- and Aut(C)-orbit representatives, the i-th and
+    j-th of their lists.  JEP runs the same loop with the empty structure
+    as the only A, so f and g are the empty maps and its instances are the
+    member pairs ``(B, C)``, reported as ``(bi, ci)``.  A searched instance
+    is one engine call on ``(B, C)`` glued along f and g, read only for
+    whether a first tip exists; the spans are orbit representatives, so
+    they need no check.  Open slots take the class's options.
+
+    Every instance is counted, but one equivalent to an instance visited
+    earlier is not searched again: the loop did not stop there, so that
+    instance amalgamated or was out of bound, and both outcomes carry over.
+    For α in Aut(A), the twist ``(f∘α, g∘α)`` glues f(α(x)) to g(α(x)) for
+    every x, the same pairs as ``(f, g)``, so it has the same pushout; its
+    maps lie in the orbits of the p-th and q-th representatives, whose
+    pushout is that one relabelled by an automorphism of B and one of C.
+    The mirror ``C <-g- A -f-> B`` relabels the pushout by swapping B and
+    C.  A relabelling carries completions to completions, as each slot's
+    options are closed under swapping its points
+    (:class:`~catalog.StructClass` checks it); class predicates are
+    isomorphism-invariant; and the bound depends only on
+    ``|B| + |C| - |A|``.  So equivalent instances have one status.  The
+    twist ``(bi, ci, p, q)`` comes earlier when ``(p, q) < (i, j)``, and
+    its mirror when ``ci < bi``, or ``ci == bi`` and ``(q, p) < (i, j)``;
+    with α the identity that is ``(ci, j) < (bi, i)``, the whole test when
+    Aut(A) is trivial.  So the first counterexample, the count and the
     undecided instances are those of searching every instance.
     """
     if property_name not in ("HP", "JEP", "AP", "SAP"):
@@ -474,7 +488,17 @@ def check_class_property(property_name: str, klass: StructClass, max_size: int,
         (_empty_structure(klass.signature),) if property_name == "JEP" else members)
 
     for ai, x in enumerate(bottoms):
-        reps = [_orbit_representatives(x, y) for y in members]
+        twists = [alpha.map for alpha in automorphisms(x)
+                  if alpha.map != tuple(range(x.size))]
+        reps = []
+        # per member Y and representative f: X -> Y, the orbit index of
+        # f∘alpha for each non-identity alpha in twists
+        twisted = []
+        for y in members:
+            ry, orbit = _orbit_representatives(x, y)
+            reps.append(ry)
+            twisted.append([[orbit[tuple(f.map[v] for v in alpha)]
+                             for alpha in twists] for f in ry])
         for bi, yb in enumerate(members):
             for ci, yc in enumerate(members):
                 size = yb.size + yc.size - x.size
@@ -482,9 +506,11 @@ def check_class_property(property_name: str, klass: StructClass, max_size: int,
                 for i, f in enumerate(reps[bi]):
                     for j, g in enumerate(reps[ci]):
                         checked += 1
-                        if (ci, j) < (bi, i):
-                            # the mirror C <-g- A -f-> B came first and
-                            # did not stop the loop
+                        if (ci, j) < (bi, i) or twists and any(
+                                (p, q) < (i, j) or ci == bi and (q, p) < (i, j)
+                                for p, q in zip(twisted[bi][i], twisted[ci][j])):
+                            # an equivalent span, twisted by Aut(A) or
+                            # mirrored, came first and did not stop the loop
                             status = NONE_WITHIN_BOUND if size > bound else FOUND
                         else:
                             quotient = _forced_quotient(

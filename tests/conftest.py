@@ -186,10 +186,12 @@ def brute_force_oriented_amalgam(a: FinStructure, b: FinStructure,
 
 def every_instance_class_property(property_name, klass, max_size,
                                   amalgam_bound=None):
-    """AP, SAP or JEP with every instance searched, mirrors included.
+    """AP, SAP or JEP with every instance searched, mirrors and twists
+    included.
 
-    The loop of :func:`diagrams.check_class_property` without its mirror
-    skip, to check that skipping changes no report.  JEP is amalgamation
+    The loop of :func:`diagrams.check_class_property` without skipping the
+    spans equivalent to an earlier one under the swap of B and C or under
+    Aut(A), to check that skipping changes no report.  JEP is amalgamation
     over the empty structure: every ordered member pair is searched and
     reported as ``(xi, yi)``.
     """
@@ -204,8 +206,8 @@ def every_instance_class_property(property_name, klass, max_size,
             for ci, yc in enumerate(members):
                 bound = (amalgam_bound if amalgam_bound is not None
                          else yb.size + yc.size - x.size)
-                for f in diagrams._orbit_representatives(x, yb):
-                    for g in diagrams._orbit_representatives(x, yc):
+                for f in diagrams._orbit_representatives(x, yb)[0]:
+                    for g in diagrams._orbit_representatives(x, yc)[0]:
                         checked += 1
                         instance = ((bi, ci) if jep
                                     else (ai, bi, ci, f.map, g.map))

@@ -243,8 +243,9 @@ def _swap(option, x, y):
 
 @pytest.mark.parametrize("name", sorted(catalog.CLASSES))
 def test_class_options_are_closed_under_the_swap(name):
-    """The amalgamation check skips mirrored spans, which relabel the open
-    slots by swapping their points."""
+    """The amalgamation check skips mirrored and twisted spans, whose
+    pushouts are relabelled ones, and a relabelling may swap the points of
+    an open slot."""
     klass = catalog.CLASSES[name]
     for spec in klass.signature.relations:
         for x, y in itertools.combinations(range(4), 2):
@@ -344,15 +345,17 @@ def assert_same_candidates(signature, size, base, covers, predicate, table,
                            callback, limit=None):
     """The completer with the options ``table`` and
     ``seed_complete_structures`` with the matching ``callback`` yield the
-    same candidates in the same order (the first ``limit`` of them)."""
+    same candidates in the same order (the first ``limit`` of them), which
+    it returns."""
     def run(complete, options):
         out = complete(signature, size, [set(b) for b in base], list(covers),
                        predicate, options)
         return [(s.signature, s.size, s.relations)
                 for s in itertools.islice(out, limit)]
 
-    assert (run(catalog._complete_structures, table)
-            == run(seed_complete_structures, callback))
+    candidates = run(catalog._complete_structures, table)
+    assert candidates == run(seed_complete_structures, callback)
+    return candidates
 
 
 def random_base(rng, klass, n, parts):
@@ -427,6 +430,28 @@ def test_completer_matches_the_seed_completer_on_mixed_signature(seed):
     for predicate in (None, lambda s: len(s.relations[1]) % 2 == 0):
         assert_same_candidates(MIXED_SIG, n, base, covers, predicate,
                                TAG_SHAPES, _slot_options, limit=300)
+
+
+@pytest.mark.parametrize("signature, size, base, covers, predicate, count", [
+    # the bare pushout is no tournament: its open pair (0, 2) takes an arc
+    (catalog.ORIENTED_SIG, 3, [{(0, 1), (1, 2)}], [1, 3, 2],
+     catalog.is_tournament, 2),
+    # no open slot: the bare candidate is the only one
+    (catalog.GRAPH_SIG, 2, [{(0, 1), (1, 0)}], [1, 1], None, 1),
+    (catalog.GRAPH_SIG, 0, [set()], [], None, 1),
+    # six open ternary tuples and one open pair, all absent in the bare one
+    (MIXED_SIG, 2, [{(0,)}, {(0, 0, 0)}, {(1, 1)}], [1, 2], None, 2 ** 6 * 4),
+    # a linear order has no absent shape, so no bare candidate; (2, 0)
+    # would close a cycle
+    (catalog.CHAIN_SIG, 3, [{(0, 1), (1, 2)}], [1, 3, 2], None, 1),
+], ids=["rejected", "no-open-slot", "size-0", "open-ternary", "linear-order"])
+def test_completer_tries_the_bare_candidate_first(signature, size, base, covers,
+                                                  predicate, count):
+    """The bare candidate, each slot at its first shape, comes first and
+    only once, or not at all without an absent first shape: every candidate
+    is the seed completer's, in its order."""
+    assert len(assert_same_candidates(signature, size, base, covers,
+                                      predicate, TAG_SHAPES, _slot_options)) == count
 
 
 def test_completer_matches_the_seed_completer_on_lops_member_options():

@@ -42,6 +42,7 @@ from ramsey_forge.structures import (
 from conftest import (
     MIXED_SIG,
     brute_force_acyclic,
+    brute_force_embedding_maps,
     brute_force_oriented_amalgam,
     brute_force_permutational,
     every_instance_class_property,
@@ -513,13 +514,23 @@ MIRROR_CASES = (
     + [("JEP", catalog.CLASSES[name], 4, None)
        for name in ("chains", "graphs", "oriented-graphs", "triangle-free",
                     "dags", "posets")]
-    + [("JEP", GRAPHS_LE_2, 2, None)])
+    + [("JEP", GRAPHS_LE_2, 2, None)]
+    # spans twisted by a nontrivial Aut(A): bounds 5 and 6 leave skipped
+    # twisted instances undecided; tournaments are bounded at 6 because the
+    # oracle completes with the full tag table, which lists 4^8 candidates
+    # before the first tournament on 7 points
+    + [("AP", catalog.CLASSES["graphs"], 4, bound) for bound in (5, 6)]
+    + [("SAP", catalog.CLASSES["graphs"], 4, None),
+       ("AP", catalog.CLASSES["triangle-free"], 4, None),
+       ("AP", catalog.CLASSES["tournaments"], 4, 6)])
 
 
 @pytest.mark.parametrize(
     "prop, klass, max_size, bound", MIRROR_CASES,
     ids=[f"{p}-{k.name}-{m}-{b}" for p, k, m, b in MIRROR_CASES])
 def test_mirror_skip_changes_no_report(prop, klass, max_size, bound):
+    """Skipping spans equivalent to an earlier one, mirrored or twisted
+    by Aut(A), changes no report."""
     assert check_class_property(prop, klass, max_size, amalgam_bound=bound) \
         == every_instance_class_property(prop, klass, max_size, bound)
 
@@ -547,25 +558,51 @@ def test_jep_searches_each_unordered_pair_once(monkeypatch):
     assert len(calls) == members * (members + 1) // 2 == 171
 
 
-@pytest.mark.parametrize("name", ["graphs", "oriented-graphs"])
-def test_ap_searches_each_instance_not_mirrored_earlier(name, monkeypatch):
-    """AP searches exactly the instances ``(ai, bi, ci, f, g)`` with
-    ``(ci, j) >= (bi, i)``, f and g the i-th and j-th orbit
-    representatives; the others are mirrors of ones searched before."""
+def span_classes(members, a):
+    """The AP instances over A = ``a`` and their classes, counted from the
+    maps of every embedding: an instance is ``(bi, ci, f, g)`` with f and g
+    the least maps of their orbits under Aut(B) and Aut(C), and its class
+    holds its twists ``(bi, ci, f∘α, g∘α)``, α in Aut(A), taken to their
+    orbits' least maps, and their mirrors ``(ci, bi, g∘α, f∘α)``."""
+    least = []
+    for y in members:
+        auts = brute_force_embedding_maps(y, y)
+        least.append({f: min(tuple(beta[v] for v in f) for beta in auts)
+                      for f in brute_force_embedding_maps(a, y)})
+    twists = brute_force_embedding_maps(a, a)
+    instances = 0
+    classes = set()
+    for bi, ci in itertools.product(range(len(members)), repeat=2):
+        for f, g in itertools.product(set(least[bi].values()),
+                                      set(least[ci].values())):
+            instances += 1
+            twisted = [(bi, ci, least[bi][tuple(f[v] for v in alpha)],
+                        least[ci][tuple(g[v] for v in alpha)])
+                       for alpha in twists]
+            classes.add(frozenset(twisted + [(c, b, q, p)
+                                             for b, c, p, q in twisted]))
+    return instances, len(classes)
+
+
+@pytest.mark.parametrize("name, max_size, searched, instances", [
+    ("graphs", 3, 71, 135),
+    ("oriented-graphs", 3, 286, 568),
+    ("graphs", 4, 942, 2426),
+], ids=["graphs", "oriented-graphs", "graphs-4"])
+def test_ap_searches_each_instance_not_mirrored_earlier(
+        name, max_size, searched, instances, monkeypatch):
+    """AP searches one span per class under Aut(A), Aut(B) x Aut(C) and
+    the swap of B and C: every other instance is a twist or a mirror of
+    one searched before."""
     klass = catalog.CLASSES[name]
-    members = klass.members_up_to(3)
-    instances = searched = 0
-    for x in members:
-        reps = [len(diagrams._orbit_representatives(x, y)) for y in members]
-        for bi, ci in itertools.product(range(len(members)), repeat=2):
-            for i, j in itertools.product(range(reps[bi]), range(reps[ci])):
-                instances += 1
-                searched += (ci, j) >= (bi, i)
+    members = klass.members_up_to(max_size)
+    counts = [span_classes(members, a) for a in members]
+    assert tuple(map(sum, zip(*counts))) == (instances, searched)
     calls = engine_calls(monkeypatch)
-    report = check_class_property("AP", klass, 3)
+    report = check_class_property("AP", klass, max_size)
     assert report.holds
     assert report.instances_checked == instances
-    assert len(calls) == searched < instances
+    assert len(calls) == searched
 
 
 @pytest.mark.parametrize("prop, name", [("AP", "graphs"), ("SAP", "graphs"),
@@ -807,6 +844,35 @@ def test_mirrored_span_has_the_same_status(name):
                                             predicate=klass.predicate).status
                 statuses.append(status)
     assert len(statuses) > 20
+    assert (EXHAUSTED in statuses) == (name == "dags")
+
+
+@pytest.mark.parametrize("name", ["graphs", "oriented-graphs", "tournaments",
+                                  "dags", "triangle-free"])
+def test_twisted_span_has_the_same_status(name):
+    """B <-f- A -g-> C amalgamates exactly when B <-f∘α- A -g∘α-> C does,
+    relabelled by β and γ: for every α, β and γ in Aut(A), Aut(B) and
+    Aut(C), (β∘f∘α, γ∘g∘α) has the status of (f, g)."""
+    klass = catalog.CLASSES[name]
+    members = klass.members_up_to(3)
+    auts = {m: brute_force_embedding_maps(m, m) for m in members}
+    twisted = 0
+    statuses = set()
+    for a, b, c in itertools.product(members, repeat=3):
+        for f in brute_force_embedding_maps(a, b):
+            for g in brute_force_embedding_maps(a, c):
+                status = amalgamate(a, b, c, Embedding(a, b, f), Embedding(a, c, g),
+                                    predicate=klass.predicate).status
+                statuses.add(status)
+                for alpha, beta, gamma in itertools.product(auts[a], auts[b],
+                                                            auts[c]):
+                    fa = tuple(beta[f[v]] for v in alpha)
+                    ga = tuple(gamma[g[v]] for v in alpha)
+                    twisted += any(alpha[v] != v for v in a.domain)
+                    assert amalgamate(a, b, c, Embedding(a, b, fa),
+                                      Embedding(a, c, ga),
+                                      predicate=klass.predicate).status == status
+    assert twisted > 0
     assert (EXHAUSTED in statuses) == (name == "dags")
 
 
