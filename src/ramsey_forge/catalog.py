@@ -321,6 +321,12 @@ class StructClass:
 
     ``options`` holds per binary tag some shapes of the tag's row, checked
     here.  Slots are pairs x < y, so no generated member carries a loop.
+    The predicate must reject every structure with a pair shape the
+    options drop, so that completing under ``options`` or under the tag
+    table yields the same accepted structures in the same order: members
+    are listed from the options but decided by the predicate, and
+    :func:`~diagrams.amalgamate` completes with the options of the class
+    whose predicate it is given.
     """
 
     name: str

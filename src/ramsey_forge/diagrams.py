@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .catalog import (
+    CLASSES,
     StructClass,
     _complete_structures,
 )
@@ -359,15 +360,27 @@ def amalgamate(a: FinStructure, b: FinStructure, c: FinStructure,
     one.  A span that does not match A, B and C raises
     :class:`StructureError`.  ``none-within-bound`` means that the
     pushout's ``|B| + |C| - |A|`` points exceed ``bound``; a span of
-    embeddings is never ``impossible``.  Open slots take every shape of
-    the tag table :data:`~structures.TAG_SHAPES`, so the amalgam is the
-    first completion that ``predicate`` accepts.
+    embeddings is never ``impossible``.  The amalgam is the first
+    completion that ``predicate`` accepts.
+
+    When ``predicate`` is the membership test of a class in
+    :data:`~catalog.CLASSES` on B's signature (the first such class, looked
+    up at each call), open slots take that class's options; otherwise they
+    take every shape of the tag table :data:`~structures.TAG_SHAPES`.  The
+    amalgam is the same either way: a class's options list a sub-product
+    of the tag table in its order, and its predicate rejects every
+    structure with a pair shape the options drop (the contract of
+    :class:`~catalog.StructClass`), so the tag table's first accepted
+    completion is also the class table's first.
     """
     for x, y in ((f.source, a), (g.source, a), (f.target, b), (g.target, c)):
         if not (x is y or x == y):
             raise StructureError("amalgamate: span embeddings do not match A, B, C")
+    options = next((k.options for k in CLASSES.values()
+                    if k.predicate is predicate and k.signature == b.signature),
+                   TAG_SHAPES)
     quotient = _forced_quotient((b, c), [(0, f.map, 1, g.map)], bound,
-                                predicate, TAG_SHAPES)
+                                predicate, options)
     if isinstance(quotient, str):
         return AmalgamSearch(quotient)
     (into_b, into_c), tips = quotient

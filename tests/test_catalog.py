@@ -284,6 +284,31 @@ def test_every_member_slot_takes_a_class_option(name):
                     klass.options, spec.tag, x, y)}, s
 
 
+NARROW_TABLE_CLASSES = [name for name, klass in catalog.CLASSES.items()
+                        if klass.options != TAG_SHAPES]
+
+
+def test_narrow_table_classes():
+    assert NARROW_TABLE_CLASSES == ["tournaments", "posets",
+                                    "linearly-ordered-posets"]
+
+
+@pytest.mark.parametrize("name", NARROW_TABLE_CLASSES)
+def test_class_table_drops_only_rejected_shapes(name):
+    """The contract of a class's options: on the empty structure, the
+    completions its predicate accepts under the tag table are those under
+    its options, in order, so the first accepted completion of any base is
+    the same under both.  The completer is called directly, so classes
+    with a generator are covered too."""
+    klass = catalog.CLASSES[name]
+    for n in range(4 if name == "linearly-ordered-posets" else 5):
+        def accepted(table):
+            return list(catalog._complete_structures(
+                klass.signature, n, [set() for _ in klass.signature.relations],
+                [0] * n, klass.predicate, table))
+        assert accepted(TAG_SHAPES) == accepted(klass.options)
+
+
 ALL_TAGS = (TAG_NONE, TAG_SYMMETRIC, TAG_LINEAR, TAG_ORIENTED)
 
 

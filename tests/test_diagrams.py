@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import random
@@ -412,6 +413,74 @@ class TestAmalgamate:
                 assert set(am.into_b.map) & set(am.into_c.map) == shared
 
 
+def tag_table_amalgam(b, c, f, g, bound, predicate):
+    """The engine's status on the span ``B <-f- A -g-> C`` completed with
+    the tag table, or its first tip and leg maps."""
+    result = diagrams._forced_quotient(
+        (b, c), [(0, f.map, 1, g.map)], bound, predicate, TAG_SHAPES)
+    if isinstance(result, str):
+        return result
+    legs, tips = result
+    tip = next(tips, None)
+    return EXHAUSTED if tip is None else (FOUND, tip, legs)
+
+
+def amalgamate_result(a, b, c, f, g, bound, predicate):
+    search = amalgamate(a, b, c, f, g, bound=bound, predicate=predicate)
+    if search.result is None:
+        return search.status
+    am = search.result
+    return search.status, am.amalgam, (am.into_b.map, am.into_c.map)
+
+
+def test_tournament_amalgam_completes_with_the_class_table(monkeypatch):
+    """A catalogued class's predicate makes ``amalgamate`` fill the open
+    slots with the class's options: the 9 open pairs of this 7-point span
+    take an arc each, so the first candidate is a tournament, where the
+    tag table lists 9,842 candidates up to it.  The amalgam and its legs
+    are the tag table's first."""
+    klass = catalog.CLASSES["tournaments"]
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return catalog.is_tournament(s)
+
+    monkeypatch.setitem(catalog.CLASSES, "tournaments",
+                        dataclasses.replace(klass, predicate=counting))
+    a = catalog.oriented_graph(1, [])
+    b = catalog.oriented_graph(4, catalog.linear_order_pairs(range(4)))
+    f = Embedding(a, b, (0,))
+    result = amalgamate_result(a, b, b, f, f, None, counting)
+    assert len(calls) == 1
+    assert result == tag_table_amalgam(b, b, f, f, None, catalog.is_tournament)
+    assert result[0] == FOUND and result[1].size == 7
+
+
+@pytest.mark.parametrize("name", ["tournaments", "posets",
+                                  "linearly-ordered-posets"])
+def test_class_table_amalgam_is_the_tag_table_amalgam(name):
+    """Every span of up to 3 points, A empty included, at every bound
+    tried: ``amalgamate`` with the class's predicate, which completes with
+    the class's options, gives the status, amalgam and legs of the tag
+    table."""
+    klass = catalog.CLASSES[name]
+    members = klass.members_up_to(3)
+    statuses = set()
+    for a in (diagrams._empty_structure(klass.signature),) + members:
+        for b, c in itertools.product(members, repeat=2):
+            for f, g in itertools.product(enumerate_embeddings(a, b),
+                                          enumerate_embeddings(a, c)):
+                for bound in (None, 3, 4):
+                    result = amalgamate_result(a, b, c, f, g, bound,
+                                               klass.predicate)
+                    assert result == tag_table_amalgam(b, c, f, g, bound,
+                                                       klass.predicate)
+                    statuses.add(result if isinstance(result, str)
+                                 else result[0])
+    assert statuses == {FOUND, NONE_WITHIN_BOUND}
+
+
 class TestClassProperties:
     def test_chains_ap(self):
         report = check_class_property("AP", catalog.CLASSES["chains"], 4)
@@ -516,13 +585,14 @@ MIRROR_CASES = (
                     "dags", "posets")]
     + [("JEP", GRAPHS_LE_2, 2, None)]
     # spans twisted by a nontrivial Aut(A): bounds 5 and 6 leave skipped
-    # twisted instances undecided; tournaments are bounded at 6 because the
-    # oracle completes with the full tag table, which lists 4^8 candidates
-    # before the first tournament on 7 points
+    # twisted instances undecided, tournaments included; unbounded, the
+    # oracle's amalgamate completes tournament spans with the tournaments'
+    # options, as the check does, so the 7-point pushouts are cheap
     + [("AP", catalog.CLASSES["graphs"], 4, bound) for bound in (5, 6)]
     + [("SAP", catalog.CLASSES["graphs"], 4, None),
        ("AP", catalog.CLASSES["triangle-free"], 4, None),
-       ("AP", catalog.CLASSES["tournaments"], 4, 6)])
+       ("AP", catalog.CLASSES["tournaments"], 4, 6),
+       ("AP", catalog.CLASSES["tournaments"], 4, None)])
 
 
 @pytest.mark.parametrize(
