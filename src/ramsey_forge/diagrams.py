@@ -10,11 +10,15 @@ amalgam: the quotient of the disjoint union of the top objects by the
 identifications the bottom spans force (the pushout), completed by the
 relation completer of :mod:`catalog` with a class's slot table or the tag
 table.  It returns the leg map of each top, computed once per quotient,
-and an iterator of certified tips.  The completer builds its candidates
-without validating them, and the engine certifies the legs without an
-embedding test: once per quotient, that the forced tuples agree with every
-top, and once per completion, that the tip keeps the forced tuples and
-adds none inside one top's image.  :func:`find_cocone` and
+and an iterator of certified tips.  It numbers the quotient's points in
+closed form when the glue is one span between two tops (every amalgam and
+class-check instance), and by union-find over the disjoint union
+otherwise; on a span both give the same numbers, so the same legs,
+statuses and tips (``_forced_quotient`` says why).  The completer builds
+its candidates without validating them, and the engine certifies the legs
+without an embedding test: once per quotient, that the forced tuples
+agree with every top, and once per completion, that the tip keeps the
+forced tuples and adds none inside one top's image.  :func:`find_cocone` and
 :func:`amalgamate` wrap the maps as legs of the one tip they return;
 :func:`check_class_property` reads only whether a first tip exists, so it
 builds no legs and no result objects.  Joint embedding is amalgamation
@@ -184,44 +188,39 @@ class CoconeSearch:
 # the forced-quotient engine (shared by cocone search and amalgamation)
 
 
-def _forced_quotient(tops: Sequence[FinStructure],
-                     glue: Sequence[tuple[int, Sequence[int], int, Sequence[int]]],
-                     bound: int | None,
-                     predicate: Callable[[FinStructure], bool] | None,
-                     options: Mapping[str, tuple[int, ...]]
-                     ) -> str | tuple[tuple[tuple[int, ...], ...], Iterator[FinStructure]]:
-    """The leg maps of the quotient of the disjoint union of ``tops`` by
-    the glue, one per top, and an iterator of its certified completions in
-    the completer's order; or a status when there are none to try.
+def _span_numbering(nb: int, nc: int, u: Sequence[int], v: Sequence[int]
+                    ) -> str | tuple[list[tuple[int, ...]], list[int], set[int]]:
+    """The legs, covers and shared points of the quotient of tops of ``nb``
+    and ``nc`` points by the glue ``[(0, u, 1, v)]``, numbered in closed
+    form, or :data:`IMPOSSIBLE` when two points of one top merge."""
+    glued = dict(zip(v, u))
+    shared = set(u)
+    n = len(glued)
+    # a point with two partners merges them within the other top; there is
+    # none when the points of v, of u and the pairs are equally many (a
+    # repeat-free u and v give as many pairs as points)
+    if n != len(shared) or n != len(u) and n != len(set(zip(u, v))):
+        return IMPOSSIBLE
+    into_c = []
+    fresh = nb
+    for y in range(nc):
+        if y in glued:
+            into_c.append(glued[y])
+        else:
+            into_c.append(fresh)
+            fresh += 1
+    covers = [1] * nb + [2] * (nc - n)
+    for p in shared:
+        covers[p] = 3
+    return [tuple(range(nb)), tuple(into_c)], covers, shared
 
-    A glue entry ``(i, u, j, v)`` says that point ``u[x]`` of top ``i`` is
-    point ``v[x]`` of top ``j``; tip points are numbered in order of first
-    appearance, top by top.  That numbering is read straight off the
-    union-find roots of the points of the disjoint union: a root is the
-    least member of its class, so it comes first, and a point is new
-    exactly when it is its own root; each leg map is a slice of the
-    numbering, the same into every completion.  Checked in this order, the
-    status is :data:`IMPOSSIBLE` when two points of one top merge,
-    :data:`NONE_WITHIN_BOUND` when the quotient has more than ``bound``
-    points, and :data:`IMPOSSIBLE` when a tuple of one top lands in another
-    top's image where that top says it is absent.  A tuple inside one top's
-    image is determined by that top; ``covers[p]`` is the bitmask of the
-    tops whose image contains tip point ``p``.  Open binary slots take the
-    shapes ``options[tag]``.
 
-    The legs are certified in two steps instead of one embedding test per
-    leg.  Once per quotient: the forced tuples agree with every top on its
-    image; only a tuple whose points are all shared (in two or more tops'
-    images, the glued points) can lie in two tops' images, so only those
-    are looked up, each in the mapped tuples of every top whose image
-    holds it.  Top 0's leg is the identity, so only the other tops' tuples
-    are mapped.
-    Once per completion: the tip keeps every forced tuple and adds none
-    inside one top's image.  Each leg is injective, so it then preserves
-    and reflects every relation, and a completion that fails raises
-    :class:`StructureError`.  A caller that returns a tip may wrap each map
-    as ``Embedding(top, tip, map, _checked=True)``.
-    """
+def _union_find_numbering(tops: Sequence[FinStructure],
+                          glue: Sequence[tuple[int, Sequence[int], int, Sequence[int]]]
+                          ) -> str | tuple[list[tuple[int, ...]], list[int], set[int]]:
+    """The legs, covers and shared points of the quotient of the disjoint
+    union of ``tops`` by any glue, or :data:`IMPOSSIBLE` when two points
+    of one top merge."""
     offsets = list(itertools.accumulate((s.size for s in tops), initial=0))
     number = _least_members(offsets[-1], ((offsets[i] + p, offsets[j] + q)
                                           for i, u, j, v in glue
@@ -241,17 +240,85 @@ def _forced_quotient(tops: Sequence[FinStructure],
         if len(set(leg)) != s.size:
             return IMPOSSIBLE
         legs.append(leg)
-    if bound is not None and size > bound:
-        return NONE_WITHIN_BOUND
     covers = [0] * size
     for ti, leg in enumerate(legs):
         for p in leg:
             covers[p] |= 1 << ti
-    shared = {p for p, m in enumerate(covers) if m & (m - 1)}
+    return legs, covers, {p for p, m in enumerate(covers) if m & (m - 1)}
+
+
+def _forced_quotient(tops: Sequence[FinStructure],
+                     glue: Sequence[tuple[int, Sequence[int], int, Sequence[int]]],
+                     bound: int | None,
+                     predicate: Callable[[FinStructure], bool] | None,
+                     options: Mapping[str, tuple[int, ...]]
+                     ) -> str | tuple[tuple[tuple[int, ...], ...], Iterator[FinStructure]]:
+    """The leg maps of the quotient of the disjoint union of ``tops`` by
+    the glue, one per top, and an iterator of its certified completions in
+    the completer's order; or a status when there are none to try.
+
+    A glue entry ``(i, u, j, v)`` says that point ``u[x]`` of top ``i`` is
+    point ``v[x]`` of top ``j``; tip points are numbered in order of first
+    appearance, top by top, and the leg maps are the same into every
+    completion.  Two numberings give these numbers:
+
+    - One span, the glue ``[(0, u, 1, v)]`` on two tops B and C (every AP,
+      SAP and JEP instance, every amalgam and a one-span cocone), in closed
+      form (:func:`_span_numbering`): B's leg is the identity, C's leg
+      sends ``v[x]`` to ``u[x]`` and numbers C's other points ``|B|``,
+      ``|B| + 1``, ... in order, and two points of one top merge exactly
+      when some point of u or of v is paired with two different partners.
+    - Any other glue, by union-find over the points of the disjoint union
+      (:func:`_union_find_numbering`): a root is the least member of its
+      class, so it comes first, a point is new exactly when it is its own
+      root, and each leg map is a slice of the numbering.
+
+    They agree on one span.  The pairs join only points of B to points of
+    C, so a class holds two points of one top exactly when one of its
+    points has two partners, and both report the merge.  Otherwise each
+    class is one point or one pair, whose least member is its B point, as
+    B's points come first; so the roots in order are B's points, then C's
+    unglued points in order, which is the closed form's numbering.  The
+    covers and shared points are determined by the legs, so every later
+    step, the checks and the completer included, sees the same input and
+    gives the same status and tips.
+
+    Checked in this order, the status is :data:`IMPOSSIBLE` when two
+    points of one top merge, :data:`NONE_WITHIN_BOUND` when the quotient
+    has more than ``bound`` points, and :data:`IMPOSSIBLE` when a tuple of
+    one top lands in another top's image where that top says it is
+    absent.  A tuple inside one top's image is determined by that top;
+    ``covers[p]`` is the bitmask of the tops whose image contains tip point
+    ``p``.  Open binary slots take the shapes ``options[tag]``.
+
+    The legs are certified in two steps instead of one embedding test per
+    leg.  Once per quotient: the forced tuples agree with every top on its
+    image; only a tuple whose points are all shared (in two or more tops'
+    images, the glued points) can lie in two tops' images, so only those
+    are looked up, each in the mapped tuples of every top whose image
+    holds it.  Top 0's leg is the identity, so only the other tops' tuples
+    are mapped.
+    Once per completion: the tip keeps every forced tuple and adds none
+    inside one top's image.  Each leg is injective, so it then preserves
+    and reflects every relation, and a completion that fails raises
+    :class:`StructureError`.  A caller that returns a tip may wrap each map
+    as ``Embedding(top, tip, map, _checked=True)``.
+    """
+    if len(tops) == 2 and len(glue) == 1 and glue[0][0] == 0 and glue[0][2] == 1:
+        numbered = _span_numbering(tops[0].size, tops[1].size,
+                                   glue[0][1], glue[0][3])
+    else:
+        numbered = _union_find_numbering(tops, glue)
+    if isinstance(numbered, str):
+        return numbered
+    legs, covers, shared = numbered
+    size = len(covers)
+    if bound is not None and size > bound:
+        return NONE_WITHIN_BOUND
     base: list[frozenset[tuple[int, ...]]] = []
     for ri in range(len(tops[0].relations)):
-        # top 0's points are their own roots, numbered first, so its leg is
-        # the identity and its tuples are their own images
+        # top 0's points are numbered first, in order, so its leg is the
+        # identity and its tuples are their own images
         images = [tops[0].relations[ri]] + [
             frozenset([tuple(map(leg.__getitem__, t)) for t in s.relations[ri]])
             for s, leg in zip(tops[1:], legs[1:])]

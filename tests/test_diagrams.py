@@ -867,6 +867,90 @@ def test_engine_matches_the_seed_engine_on_seeded_diagrams(name):
             NONE_WITHIN_BOUND, FOUND} <= seen
 
 
+def counted_least_members(monkeypatch):
+    """The sizes that ``diagrams._least_members`` is called with, from now
+    on in the test."""
+    calls = []
+    original = diagrams._least_members
+
+    def counting(n, pairs):
+        calls.append(n)
+        return original(n, pairs)
+
+    monkeypatch.setattr(diagrams, "_least_members", counting)
+    return calls
+
+
+# glue (u, v) from point u[x] of B to point v[x] of C, for the oriented
+# graphs B with arcs 0->1->2 and C with arcs 0->1, 2->3 on 4 points each
+ONE_SPAN_GLUE = {
+    "one-point": ((0,), (0,)),
+    "arc-onto-arc": ((0, 1), (0, 1)),
+    "arc-onto-reversed-arc": ((0, 1), (1, 0)),
+    "every-point": ((0, 1, 2, 3), (3, 2, 1, 0)),
+    "one-b-point-to-two-c-points": ((2, 2), (0, 3)),
+    "two-b-points-to-one-c-point": ((1, 3), (2, 2)),
+    "duplicate-pairs": ((0, 3, 0), (2, 1, 2)),
+    "duplicate-pairs-and-a-merge": ((0, 3, 0), (2, 1, 1)),
+    "empty": ((), ()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_SPAN_GLUE))
+def test_one_span_glue_matches_the_seed_engine(case, monkeypatch):
+    """The closed-form numbering of ``(0, u, 1, v)`` against the engine as
+    first written, at bounds of the quotient's size, one less and none;
+    ``(1, v, 0, u)`` and ``(0, u, 0, v)``, a span into one top, go through
+    union-find and are compared too."""
+    klass = catalog.CLASSES["oriented-graphs"]
+    tops = (catalog.oriented_graph(4, [(0, 1), (1, 2)]),
+            catalog.oriented_graph(4, [(0, 1), (2, 3)]))
+    u, v = ONE_SPAN_GLUE[case]
+    calls = counted_least_members(monkeypatch)
+    statuses = []
+    for glue, union_find in (((0, u, 1, v), False), ((1, v, 0, u), True),
+                             ((0, u, 0, v), True)):
+        i, _, j, _ = glue
+        least = brute_force_least_members(8, [(4 * i + p, 4 * j + q)
+                                              for p, q in zip(u, v)])
+        size = sum(x == r for x, r in enumerate(least))
+        for bound in (size, size - 1, None):
+            calls.clear()
+            result = assert_same_engine_results(
+                tops, [glue], bound, klass.predicate, klass.options,
+                seed_options("oriented-graphs"))
+            assert len(calls) == union_find
+            if not union_find:
+                statuses.append(result if isinstance(result, str)
+                                else FOUND if result else EXHAUSTED)
+    # a merge is found before the bound is read, a contradiction after
+    merge, contradiction = [IMPOSSIBLE] * 3, [IMPOSSIBLE, NONE_WITHIN_BOUND,
+                                              IMPOSSIBLE]
+    assert statuses == {
+        "arc-onto-reversed-arc": contradiction,
+        "every-point": contradiction,
+        "one-b-point-to-two-c-points": merge,
+        "two-b-points-to-one-c-point": merge,
+        "duplicate-pairs-and-a-merge": merge,
+    }.get(case, [FOUND, NONE_WITHIN_BOUND, FOUND])
+
+
+def test_one_span_quotients_skip_the_union_find(monkeypatch):
+    """Class checks, amalgams and one-span cocones number the quotient in
+    closed form; a cocone over two spans goes through union-find."""
+    calls = counted_least_members(monkeypatch)
+    oriented = catalog.CLASSES["oriented-graphs"]
+    assert check_class_property("AP", oriented, 3).holds
+    k1, k2 = catalog.complete_graph(1), catalog.complete_graph(2)
+    f = Embedding(k1, k2, (0,))
+    assert amalgamate(k1, k2, k2, f, f).status == FOUND
+    assert find_cocone(chain_span_diagram(), 3).status == FOUND
+    assert calls == []
+    two_spans = ab_diagram(k1, k2, [((0,), (0,), 0, 1), ((0,), (0,), 1, 2)], 3)
+    assert find_cocone(two_spans, 4).status == FOUND
+    assert calls == [6]
+
+
 def test_dags_are_not_a_fraisse_age():
     """The abstract's claim up to 4 points: HP and JEP hold, and AP and
     SAP fail at a span that no oriented graph amalgamates, merges
