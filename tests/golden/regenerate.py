@@ -17,6 +17,25 @@ Each ``*.json`` file here is a list of records, one per command line: its
   the other order (the span C <- A -> B), a chain of two spans over three
   tops, and two spans between the same two tops, whose glue can merge
   points of one top.
+- ``arrow-check.json``: ``arrow check`` on the chains in ``structures/``
+  with C on at most 6 points, B on at most 3 and A on at most 2, at
+  (k, t) = (2, 1) and (3, 2), pruned and with ``--oracle``; the
+  largest triple at ``--budget`` 1, 10, 100 and 1000, undecided below
+  the size of its search; and a sample in text.
+- ``universe-gen.json``: ``universe gen`` of every kind at ``-n`` 0, 1, 8
+  and 33, in both formats and with ``--dot``.
+- ``universe-audit.json``: ``universe audit`` of each kind against the
+  class on its signature that it is built for, at ``--max-size`` 3 and
+  ``-N`` 16 and 32, in both formats, and one kind and class whose
+  signatures differ.
+- ``metric-analyze.json``: ``metric analyze`` on compact and non-compact
+  distance sets, and on malformed ones, in both formats.
+- ``metric-amalgamate.json`` and ``metric-star.json``: ``metric
+  amalgamate`` on every eighth span of the acceptance suite's corpus of
+  spanned amalgams, and ``metric star`` on the amalgams it reports, with
+  the spaces in ``metric/``; each also on one input it rejects.
+
+``--out`` and ``--witness-out`` write files, so no record uses them.
 
 A golden file is a check: regenerate it only when a report is meant to
 change, and say which records changed and why.
@@ -26,12 +45,13 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import random
 from pathlib import Path
 
-from ramsey_forge import catalog, cli
+from ramsey_forge import catalog, cli, metric, universes
 from ramsey_forge.structures import enumerate_embeddings, structure_to_dict
 
 HERE = Path(__file__).resolve().parent
@@ -94,6 +114,95 @@ def diagrams_of(name: str) -> dict[str, dict]:
     return docs
 
 
+# each universe kind and the class on its signature that it is built for
+# (``ordered_rado`` has no class on its signature)
+AUDITS = (("rado", "graphs"), ("henson3", "triangle-free"),
+          ("acyclic-universal", "dags"), ("acyclic-triangle-free", "dags"),
+          ("rational-chain", "permutations"),
+          ("permutational-poset", "linearly-ordered-posets"))
+DISTANCE_SETS = ("0,1", "0,1,3", "0,1,2,5,6", "0,1,3,7", "0,2,3,7,8",
+                 "0,1,2,5,6,14", "0,1/2,1,5/2,11/2", "0,1,2,3", "0,1,2,4",
+                 "0,3,4,5,11", "0,1,3,4")
+BAD_SETS = ("0", "1,2", "0,0,1", "0,x", "0,1/0")
+
+
+def spanned_amalgam_spans():
+    """The acceptance suite's corpus of spans ``(M, M', M'', L)`` for
+    spanned strong amalgamation, in its order: a two-point shared space
+    whose distance lies past the first block, each side adding a point at
+    a first-block distance from one of its two classes."""
+    for values in ((0, 1, 2, 5, 6), (0, 1, 3), (0, 1, 3, 7), (0, 2, 3, 7, 8),
+                   (0, 1, 2, 5, 6, 14)):
+        blocks = metric.blocks(metric.DistanceSet.make(values)).blocks[1:]
+        for cross in (v for blk in blocks[1:] for v in blk):
+            base = metric.FinMetricSpace.make(values, [[0, cross], [cross, 0]])
+
+            def extended(near_class, near):
+                row = [near if i == near_class else cross for i in range(2)]
+                return metric.FinMetricSpace.make(
+                    values, [[0, cross, row[0]], [cross, 0, row[1]],
+                             [row[0], row[1], 0]])
+
+            for cp, cpp in itertools.product((0, 1), repeat=2):
+                for np_, npp in itertools.product(blocks[0], repeat=2):
+                    yield base, extended(cp, np_), extended(cpp, npp), base
+
+
+def write(path: str, doc) -> str:
+    (HERE / path).parent.mkdir(exist_ok=True)
+    (HERE / path).write_text(json.dumps(doc, sort_keys=True) + "\n")
+    return path
+
+
+def arrow_records() -> list[dict]:
+    chain = [write(f"structures/chain-{n}.json",
+                   structure_to_dict(catalog.chain(n))) for n in range(7)]
+    records = []
+    for c, b, a in itertools.product(range(7), range(4), range(3)):
+        for k, t in (("2", "1"), ("3", "2")):
+            for oracle in ([], ["--oracle"]):
+                records.append(record(["arrow", "check", "--C", chain[c],
+                                       "--B", chain[b], "--A", chain[a],
+                                       "-k", k, "-t", t, *oracle]))
+    for budget in ("1", "10", "100", "1000"):
+        for oracle in ([], ["--oracle"]):
+            records.append(record(["--budget", budget, "arrow", "check",
+                                   "--C", chain[6], "--B", chain[3],
+                                   "--A", chain[2], "-k", "2", "-t", "1",
+                                   *oracle]))
+    for c in range(3, 7):
+        records.append(record(["--format", "text", "arrow", "check",
+                               "--C", chain[c], "--B", chain[3],
+                               "--A", chain[2], "-k", "2", "-t", "1"]))
+    return records
+
+
+def metric_records() -> tuple[list[dict], list[dict], list[dict]]:
+    analyze = [record(["--format", fmt, "metric", "analyze", "--set", s])
+               for s in DISTANCE_SETS + BAD_SETS for fmt in FORMATS]
+    amalgamate, star = [], []
+    spans = list(spanned_amalgam_spans())[::8]
+    for i, spaces in enumerate(spans):
+        paths = [write(f"metric/span{i}-{part}.json", metric.metric_to_dict(m))
+                 for part, m in zip(("M", "Mp", "Mpp", "L"), spaces)]
+        amalgamate.append(record(["metric", "amalgamate",
+                                  *itertools.chain(*zip(
+                                      ("--M", "--Mp", "--Mpp", "--L"), paths))]))
+        doc = json.loads(amalgamate[-1]["stdout"])["amalgam"]
+        star.append(record(["metric", "star", "--in",
+                            write(f"metric/amalgam{i}.json", doc)]))
+    star.append(record(["--format", "text", "metric", "star", "--in",
+                        "metric/amalgam0.json"]))
+    one_block = write("metric/one-block.json",
+                      {"set": [0, 2, 3], "d": [[0, 2], [2, 0]]})
+    star.append(record(["metric", "star", "--in", one_block]))
+    amalgamate.append(record(["metric", "amalgamate", "--M", one_block,
+                              "--Mp", "metric/span0-Mp.json",
+                              "--Mpp", "metric/span0-Mpp.json",
+                              "--L", "metric/span0-L.json"]))
+    return analyze, amalgamate, star
+
+
 def main() -> None:
     os.chdir(HERE)
     fraisse = [record(["--format", fmt, "fraisse", "check", "--class", name,
@@ -101,21 +210,37 @@ def main() -> None:
                for name in catalog.CLASSES for prop in PROPERTIES
                for n in range(4) for fmt in FORMATS]
     selftest = [record(["--format", fmt, "selftest"]) for fmt in FORMATS]
-    (HERE / "diagrams").mkdir(exist_ok=True)
     cocone = []
     for name in catalog.CLASSES:
         for kind, doc in diagrams_of(name).items():
-            path = f"diagrams/{name}-{kind}.json"
-            (HERE / path).write_text(json.dumps(doc, sort_keys=True) + "\n")
+            path = write(f"diagrams/{name}-{kind}.json", doc)
             for klass in ([], ["--class", name]):
                 for tip in ("2", "4", "8"):
                     cocone.append(record(["diagram", "cocone", "--in", path,
                                           "--max-tip", tip, *klass]))
                 cocone.append(record(["--format", "text", "diagram", "cocone",
                                       "--in", path, "--max-tip", "8", *klass]))
+    arrow = arrow_records()
+    gen = [record([*(["--format", fmt] if fmt else []), "universe", "gen",
+                   "--kind", kind.replace("_", "-"), "-n", n,
+                   *(["--dot"] if fmt is None else [])])
+           for kind in universes.KINDS for n in ("0", "1", "8", "33")
+           for fmt in (*FORMATS, None)]
+    audit = [record(["--format", fmt, "universe", "audit", "--kind", kind,
+                     "--class", name, "--max-size", "3", "-N", n])
+             for kind, name in AUDITS for n in ("16", "32") for fmt in FORMATS]
+    audit.append(record(["universe", "audit", "--kind", "ordered-rado",
+                         "--class", "graphs", "--max-size", "3", "-N", "16"]))
+    analyze, amalgamate, star = metric_records()
     for file, records in (("fraisse-check.json", fraisse),
                           ("selftest.json", selftest),
-                          ("diagram-cocone.json", cocone)):
+                          ("diagram-cocone.json", cocone),
+                          ("arrow-check.json", arrow),
+                          ("universe-gen.json", gen),
+                          ("universe-audit.json", audit),
+                          ("metric-analyze.json", analyze),
+                          ("metric-amalgamate.json", amalgamate),
+                          ("metric-star.json", star)):
         (HERE / file).write_text(json.dumps(records, indent=1) + "\n")
 
 

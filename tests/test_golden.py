@@ -1,7 +1,7 @@
 """Golden reports: every record in ``tests/golden`` replayed byte for byte.
 
 A record is one command line with the exit code, stdout and stderr that
-``cli.dispatch`` gave it, run from ``tests/golden`` (the diagram inputs are
+``cli.dispatch`` gave it, run from ``tests/golden`` (the input files are
 named relative to it).  ``tests/golden/regenerate.py`` writes the records
 and says what they cover; a report that changes on purpose is regenerated,
 and the change says which records moved and why.
