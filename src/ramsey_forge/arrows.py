@@ -28,7 +28,7 @@ from .structures import (
     SignatureMismatchError,
     StructureError,
     enumerate_embeddings,
-    hom_nonempty,
+    first_embedding,
     reduct,
 )
 
@@ -449,9 +449,9 @@ def transfer_check(c: FinStructure, b: FinStructure, a: FinStructure,
     Returns True when the implication is confirmed (vacuously or not),
     False on a violation, None if undecided.
     """
-    if not hom_nonempty(c, c2):
+    if first_embedding(c, c2) is None:
         raise EmptyHomSetError("transfer: hom(C, C2) is empty")
-    if not hom_nonempty(b2, b):
+    if first_embedding(b2, b) is None:
         raise EmptyHomSetError("transfer: hom(B2, B) is empty")
     premise = check_arrow(c, b, a, k, t, budget=budget)
     if premise.holds is None:

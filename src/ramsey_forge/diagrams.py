@@ -410,12 +410,12 @@ class Amalgam:
 
 @dataclass(frozen=True)
 class AmalgamSearch:
-    status: str  # found | exhausted | none-within-bound
+    status: str  # found | exhausted
     result: Amalgam | None = None
 
 
 def amalgamate(a: FinStructure, b: FinStructure, c: FinStructure,
-               f: Embedding, g: Embedding, bound: int | None = None,
+               f: Embedding, g: Embedding,
                predicate: Callable[[FinStructure], bool] | None = None
                ) -> AmalgamSearch:
     """First pushout-shaped amalgam of the span ``B <-f- A -g-> C`` that
@@ -424,11 +424,10 @@ def amalgamate(a: FinStructure, b: FinStructure, c: FinStructure,
     The amalgam's point set is B plus the points of C outside g(A); no
     further identification is attempted, so the shared part of the two
     images is exactly the image of A and every amalgam found is a strong
-    one.  A span that does not match A, B and C raises
-    :class:`StructureError`.  ``none-within-bound`` means that the
-    pushout's ``|B| + |C| - |A|`` points exceed ``bound``; a span of
-    embeddings is never ``impossible``.  The amalgam is the first
-    completion that ``predicate`` accepts.
+    one, on ``|B| + |C| - |A|`` points.  A span that does not match A, B
+    and C raises :class:`StructureError`; a span of embeddings is never
+    ``impossible``.  The amalgam is the first completion that
+    ``predicate`` accepts.
 
     When ``predicate`` is the membership test of a class in
     :data:`~catalog.CLASSES` on B's signature (the first such class, looked
@@ -446,7 +445,7 @@ def amalgamate(a: FinStructure, b: FinStructure, c: FinStructure,
     options = next((k.options for k in CLASSES.values()
                     if k.predicate is predicate and k.signature == b.signature),
                    TAG_SHAPES)
-    quotient = _forced_quotient((b, c), [(0, f.map, 1, g.map)], bound,
+    quotient = _forced_quotient((b, c), [(0, f.map, 1, g.map)], None,
                                 predicate, options)
     if isinstance(quotient, str):
         return AmalgamSearch(quotient)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -147,26 +146,6 @@ class BlockPartition:
 
     jumps: tuple[Fraction, ...]
     blocks: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def nontrivial(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self.blocks[1:]
-
-    def block_index(self, x: Fraction) -> int:
-        """1-based block number of a positive value (0 = trivial block)."""
-        x = _frac(x)
-        # block i holds the values above jump i-1 up to jump i
-        i = bisect.bisect_left(self.jumps, x)
-        if i == len(self.jumps) or x not in self.blocks[i]:
-            raise MetricError(f"{x} is not a member of the distance set")
-        return i
-
-
-def jump_numbers(s: DistanceSet) -> tuple[Fraction, ...]:
-    """Values that are last, or less than half their successor."""
-    of = s._of
-    return tuple(v for i, v in enumerate(s.values)
-                 if i + 1 == len(of) or of[i] != of[i + 1])
 
 
 @lru_cache(maxsize=None)
@@ -556,21 +535,8 @@ class SigmaChoice:
 
     base: DistanceSet
     sigma: DistanceSet
-    xi: tuple[tuple[Fraction, Fraction], ...]  # pairs (s_i, sigma_i)
     eps: Fraction
     zeta: Fraction
-
-    def forward(self, v: Fraction) -> Fraction:
-        i = self.base._position(v)
-        if i is None:
-            raise MetricError(f"{v} outside the base distance set")
-        return self.sigma.values[i]
-
-    def backward(self, v: Fraction) -> Fraction:
-        i = self.sigma._position(v)
-        if i is None or i >= len(self.base):
-            raise MetricError(f"{v} outside the image of the order bijection")
-        return self.base.values[i]
 
 
 def choose_sigma(s: DistanceSet) -> SigmaChoice:
@@ -589,8 +555,7 @@ def choose_sigma(s: DistanceSet) -> SigmaChoice:
     assert sigma._of[-1] == 1, "target spectrum must be one-block"
     compact, _ = is_compact(sigma)
     assert compact
-    xi = tuple(zip(s.values, sigma_vals))
-    return SigmaChoice(s, sigma, xi, eps, zeta)
+    return SigmaChoice(s, sigma, eps, zeta)
 
 
 @dataclass(frozen=True)
@@ -766,33 +731,7 @@ def recover_quotient_space(w: FinMetricSpace, w0: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# ultrametric rescaling and the one-block graph encoding
-
-
-def is_ultrametric(m: FinMetricSpace) -> bool:
-    n, at = m.size, m._at
-    return all(at[x][z] <= max(at[x][y], at[y][z])
-               for x in range(n) for y in range(n) for z in range(n))
-
-
-def rescale(m: FinMetricSpace, phi: Sequence[tuple],
-            target: DistanceSet) -> FinMetricSpace:
-    """Push an ultrametric space through an order bijection of value sets,
-    given as ``(source value, target value)`` pairs.
-
-    General metric spaces are rejected: monotone relabeling preserves the
-    ultrametric inequality but not triangle inequalities.
-    """
-    if not is_ultrametric(m):
-        raise MetricError("rescaling is only valid for ultrametric spaces")
-    pairs = sorted((_frac(a), _frac(b)) for a, b in phi)
-    if len(target) != len(m.dset) or pairs != list(zip(m.dset.values, target.values)):
-        raise MetricError("map is not an order bijection between the sets")
-    # the bijection pairs equal positions of the two sets
-    out = FinMetricSpace(target, tuple(
-        tuple(target.values[p] for p in row) for row in m._at))
-    assert is_ultrametric(out)
-    return out
+# the one-block graph encoding
 
 
 def metric_to_kgraph(m: FinMetricSpace) -> FinStructure:
@@ -831,10 +770,6 @@ def metric_to_dict(m: FinMetricSpace) -> dict:
     }
 
 
-def metric_to_json(m: FinMetricSpace) -> str:
-    return json.dumps(metric_to_dict(m), sort_keys=True)
-
-
 def metric_from_dict(doc: dict) -> FinMetricSpace:
     if not (isinstance(doc, dict) and isinstance(doc.get("set"), list)
             and isinstance(doc.get("d"), list)
@@ -842,7 +777,3 @@ def metric_from_dict(doc: dict) -> FinMetricSpace:
         raise MetricError('a metric space is an object with a "set" list '
                           'and a "d" list of rows')
     return FinMetricSpace.make(doc["set"], doc["d"])
-
-
-def metric_from_json(text: str) -> FinMetricSpace:
-    return metric_from_dict(json.loads(text))

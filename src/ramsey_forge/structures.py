@@ -240,10 +240,6 @@ class Embedding:
         return self.map[v]
 
 
-def identity_embedding(a: FinStructure) -> Embedding:
-    return Embedding(a, a, tuple(range(a.size)), _checked=True)
-
-
 def compose(g: Embedding, f: Embedding) -> Embedding:
     """Return ``g after f``.  Targets/sources must chain."""
     if f.target is not g.source and f.target != g.source:
@@ -430,10 +426,6 @@ def first_embedding(a: FinStructure, b: FinStructure) -> Embedding | None:
     return None
 
 
-def hom_nonempty(a: FinStructure, b: FinStructure) -> bool:
-    return first_embedding(a, b) is not None
-
-
 def restriction(a: FinStructure, subset: Iterable[int]) -> FinStructure:
     """Induced substructure on ``subset``, relabeled order-preservingly onto
     an initial segment."""
@@ -449,12 +441,6 @@ def restriction(a: FinStructure, subset: Iterable[int]) -> FinStructure:
         for tuples in a.relations
     )
     return FinStructure(a.signature, len(points), rels, _checked=True)
-
-
-def inclusion_of_restriction(a: FinStructure, subset: Iterable[int]) -> Embedding:
-    """The relabeling map of ``restriction(a, subset)`` back into ``a``."""
-    points = tuple(sorted(set(subset)))
-    return Embedding(restriction(a, points), a, points, _checked=True)
 
 
 def reduct(a: FinStructure, names: Sequence[str]) -> FinStructure:

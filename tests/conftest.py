@@ -211,9 +211,12 @@ def every_instance_class_property(property_name, klass, max_size,
                         checked += 1
                         instance = ((bi, ci) if jep
                                     else (ai, bi, ci, f.map, g.map))
-                        status = diagrams.amalgamate(
-                            x, yb, yc, f, g, bound=bound,
-                            predicate=klass.predicate).status
+                        # the pushout has |B| + |C| - |A| points
+                        status = (diagrams.NONE_WITHIN_BOUND
+                                  if yb.size + yc.size - x.size > bound
+                                  else diagrams.amalgamate(
+                                      x, yb, yc, f, g,
+                                      predicate=klass.predicate).status)
                         if status == diagrams.NONE_WITHIN_BOUND:
                             undecided.append(instance)
                         elif status != diagrams.FOUND:
@@ -248,10 +251,11 @@ def metric_corpus():
         s = metric.DistanceSet.make(values)
         assert metric.is_compact(s)[0]
         bp = metric.blocks(s)
-        if len(bp.nontrivial) < 2:
+        nontrivial = bp.blocks[1:]
+        if len(nontrivial) < 2:
             continue
-        b1 = bp.nontrivial[0]
-        cross_options = [v for blk in bp.nontrivial[1:] for v in blk]
+        b1 = nontrivial[0]
+        cross_options = [v for blk in nontrivial[1:] for v in blk]
         for cross in cross_options:
             base = metric.FinMetricSpace.make(s, [[0, cross], [cross, 0]])
             l = metric.FinMetricSpace.make(s, [[0, cross], [cross, 0]])

@@ -86,7 +86,7 @@ def _transfer_fuzz(pool, a_pool, b_pool, k):
     violations = 0
     instances = 0
     for c, d in itertools.product(pool, repeat=2):
-        if not structures.hom_nonempty(c, d):
+        if structures.first_embedding(c, d) is None:
             continue
         for b in b_pool:
             for a in a_pool:
@@ -101,7 +101,7 @@ def _transfer_fuzz(pool, a_pool, b_pool, k):
                     if not arrow(c, b, a, t):
                         continue
                     for d in b_pool:
-                        if not structures.hom_nonempty(d, b):
+                        if structures.first_embedding(d, b) is None:
                             continue
                         instances += 1
                         if not arrow(c, d, a, t):

@@ -395,12 +395,6 @@ class TestAmalgamate:
             find_cocone(ab_diagram(a, b, [((0,), (0,), 0, 1)], 2), 3,
                         options={TAG_ORIENTED: (BOTH,)})
 
-    def test_bound_respected(self):
-        a, b = catalog.chain(1), catalog.chain(3)
-        f = Embedding(a, b, (0,))
-        search = amalgamate(a, b, b, f, f, bound=3)
-        assert search.status == NONE_WITHIN_BOUND
-
     def test_strong_intersection_exact(self):
         a = catalog.path_graph(2)
         b = catalog.path_graph(3)
@@ -413,11 +407,11 @@ class TestAmalgamate:
                 assert set(am.into_b.map) & set(am.into_c.map) == shared
 
 
-def tag_table_amalgam(b, c, f, g, bound, predicate):
+def tag_table_amalgam(b, c, f, g, predicate):
     """The engine's status on the span ``B <-f- A -g-> C`` completed with
     the tag table, or its first tip and leg maps."""
     result = diagrams._forced_quotient(
-        (b, c), [(0, f.map, 1, g.map)], bound, predicate, TAG_SHAPES)
+        (b, c), [(0, f.map, 1, g.map)], None, predicate, TAG_SHAPES)
     if isinstance(result, str):
         return result
     legs, tips = result
@@ -425,8 +419,8 @@ def tag_table_amalgam(b, c, f, g, bound, predicate):
     return EXHAUSTED if tip is None else (FOUND, tip, legs)
 
 
-def amalgamate_result(a, b, c, f, g, bound, predicate):
-    search = amalgamate(a, b, c, f, g, bound=bound, predicate=predicate)
+def amalgamate_result(a, b, c, f, g, predicate):
+    search = amalgamate(a, b, c, f, g, predicate=predicate)
     if search.result is None:
         return search.status
     am = search.result
@@ -451,19 +445,18 @@ def test_tournament_amalgam_completes_with_the_class_table(monkeypatch):
     a = catalog.oriented_graph(1, [])
     b = catalog.oriented_graph(4, catalog.linear_order_pairs(range(4)))
     f = Embedding(a, b, (0,))
-    result = amalgamate_result(a, b, b, f, f, None, counting)
+    result = amalgamate_result(a, b, b, f, f, counting)
     assert len(calls) == 1
-    assert result == tag_table_amalgam(b, b, f, f, None, catalog.is_tournament)
+    assert result == tag_table_amalgam(b, b, f, f, catalog.is_tournament)
     assert result[0] == FOUND and result[1].size == 7
 
 
 @pytest.mark.parametrize("name", ["tournaments", "posets",
                                   "linearly-ordered-posets"])
 def test_class_table_amalgam_is_the_tag_table_amalgam(name):
-    """Every span of up to 3 points, A empty included, at every bound
-    tried: ``amalgamate`` with the class's predicate, which completes with
-    the class's options, gives the status, amalgam and legs of the tag
-    table."""
+    """Every span of up to 3 points, A empty included: ``amalgamate``
+    with the class's predicate, which completes with the class's options,
+    gives the status, amalgam and legs of the tag table."""
     klass = catalog.CLASSES[name]
     members = klass.members_up_to(3)
     statuses = set()
@@ -471,14 +464,11 @@ def test_class_table_amalgam_is_the_tag_table_amalgam(name):
         for b, c in itertools.product(members, repeat=2):
             for f, g in itertools.product(enumerate_embeddings(a, b),
                                           enumerate_embeddings(a, c)):
-                for bound in (None, 3, 4):
-                    result = amalgamate_result(a, b, c, f, g, bound,
-                                               klass.predicate)
-                    assert result == tag_table_amalgam(b, c, f, g, bound,
-                                                       klass.predicate)
-                    statuses.add(result if isinstance(result, str)
-                                 else result[0])
-    assert statuses == {FOUND, NONE_WITHIN_BOUND}
+                result = amalgamate_result(a, b, c, f, g, klass.predicate)
+                assert result == tag_table_amalgam(b, c, f, g,
+                                                   klass.predicate)
+                statuses.add(result if isinstance(result, str) else result[0])
+    assert statuses == {FOUND}
 
 
 class TestClassProperties:

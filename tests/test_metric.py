@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import random
 import weakref
 from fractions import Fraction
@@ -23,14 +24,11 @@ from ramsey_forge.metric import (
     enumerate_isometric_embeddings,
     is_compact,
     is_metric_triple,
-    is_ultrametric,
-    jump_numbers,
     ll,
-    metric_from_json,
-    metric_to_json,
+    metric_from_dict,
+    metric_to_dict,
     metric_to_kgraph,
     recover_quotient_space,
-    rescale,
     sap_amalgamate_metL,
     sim_partition,
     spans,
@@ -62,19 +60,19 @@ def fixture_space():
 
 class TestBlocks:
     def test_jumps_and_blocks(self):
-        assert jump_numbers(S) == (Fraction(0), Fraction(2), Fraction(6))
         bp = blocks(S)
+        assert bp.jumps == (Fraction(0), Fraction(2), Fraction(6))
         assert bp.blocks == ((Fraction(0),), (Fraction(1), Fraction(2)),
                              (Fraction(5), Fraction(6)))
 
     def test_two_point_set(self):
         s = DistanceSet.make([0, 1])
-        assert jump_numbers(s) == (Fraction(0), Fraction(1))
+        assert blocks(s).jumps == (Fraction(0), Fraction(1))
         assert blocks(s).blocks == ((Fraction(0),), (Fraction(1),))
 
     def test_no_internal_jumps(self):
         s = DistanceSet.make([0, 1, 2, 3])
-        assert jump_numbers(s) == (Fraction(0), Fraction(3))
+        assert blocks(s).jumps == (Fraction(0), Fraction(3))
         assert blocks(s).blocks == ((Fraction(0),),
                                     (Fraction(1), Fraction(2), Fraction(3)))
 
@@ -136,20 +134,19 @@ class TestCompact:
         for r in range(1, 5):
             for combo in itertools.combinations(range(1, 13), r):
                 s = DistanceSet.make((0,) + combo)
-                bp = blocks(s)
                 for x, y in itertools.combinations(s.positive, 2):
                     if abs(x - y) <= s.s1:
-                        assert bp.block_index(x) == bp.block_index(y)
+                        assert approx(s, x, y)
 
     def test_singleton_set_rejected(self):
         with pytest.raises(MetricError):
             is_compact(DistanceSet.make([0]))
 
-    def test_block_index_reads_exact_values(self):
-        bp = blocks(S)
-        assert bp.block_index("5/1") == bp.block_index(5) == bp.block_index(Fraction(5))
+    def test_block_relations_read_exact_values(self):
+        assert approx(S, "5/1", 5) and approx(S, 5, Fraction(6))
+        assert ll(S, "2/1", Fraction(5)) and not ll(S, 5, "6")
         with pytest.raises(MetricError, match="not an exact rational"):
-            bp.block_index(5.0)
+            approx(S, 5.0, 5)
 
 
 class TestClassify:
@@ -239,12 +236,12 @@ class TestIntegerCoreAgainstFractionOracle:
             s = DistanceSet(values)
             jumps, want_blocks = fraction_blocks(values)
             bp = blocks(s)
-            assert (jump_numbers(s), bp.jumps, bp.blocks) == (jumps, jumps, want_blocks)
+            assert (bp.jumps, bp.blocks) == (jumps, want_blocks)
             got = {"is_compact": is_compact(s), "check_4values": check_4values(s)}
             want = {"is_compact": fraction_is_compact(values),
                     "check_4values": fraction_check_4values(values)}
             assert got == want, values
-            returned = [*jump_numbers(s), *bp.jumps, *itertools.chain(*bp.blocks),
+            returned = [*bp.jumps, *itertools.chain(*bp.blocks),
                         *(v for _, ce in got.values() if ce for v in ce)]
             assert all(type(v) is Fraction for v in returned), values
             if got["is_compact"][0]:
@@ -289,11 +286,10 @@ class TestFinMetricSpace:
             FinMetricSpace.make([0, 1], [[0, 2], [2, 0]])
 
     def test_json_round_trip(self):
-        m = fixture_space()
-        assert metric_from_json(metric_to_json(m)) == m
         half = FinMetricSpace.make([0, "1/2", 2],
                                    [[0, "1/2"], ["1/2", 0]])
-        assert metric_from_json(metric_to_json(half)) == half
+        for m in (fixture_space(), half):
+            assert metric_from_dict(json.loads(json.dumps(metric_to_dict(m)))) == m
 
 
 class TestSimPartition:
@@ -402,31 +398,21 @@ class TestChooseSigma:
     def test_one_nontrivial_block(self):
         for values in [(0, 1, 2, 5, 6), (0, 1, 3), (0, 2, 3, 7, 8, 20)]:
             choice = choose_sigma(DistanceSet.make(values))
-            assert len(blocks(choice.sigma).nontrivial) == 1
+            assert len(blocks(choice.sigma).blocks[1:]) == 1
             assert is_compact(choice.sigma)[0]
 
     def test_order_isomorphism(self):
+        # base position i is sigma position i; the two extra levels follow
         choice = choose_sigma(S)
-        lower = [b for _, b in choice.xi]
-        assert lower == sorted(lower)
-        assert len(choice.xi) == len(S)
-        assert choice.backward(choice.forward(Fraction(5))) == Fraction(5)
+        assert len(choice.sigma) == len(S) + 2
+        assert choice.sigma.values[len(S):] == (choice.eps, choice.zeta)
 
-    def test_lookups_agree_with_the_listing(self):
-        choice = choose_sigma(S)
-        image = dict(choice.xi)
-        preimage = {b: a for a, b in choice.xi}
-        for v in S.values:
-            assert choice.forward(v) == image[v]
-        for v in choice.sigma.values:
-            if v in preimage:
-                assert choice.backward(v) == preimage[v]
-        with pytest.raises(MetricError):
-            choice.forward(3)
-        # the two extra levels, and a base value that sigma lacks
-        for v in (choice.eps, choice.zeta, Fraction(5)):
-            with pytest.raises(MetricError):
-                choice.backward(v)
+    def test_star_maps_base_distances_by_position(self):
+        m = fixture_space()
+        star = star_transform(m)
+        sigma = star.choice.sigma.values
+        for x, y in itertools.product(range(m.size), repeat=2):
+            assert star.space.d[x][y] == sigma[S.values.index(m.d[x][y])]
 
 
 class TestStarTransform:
@@ -442,7 +428,7 @@ class TestStarTransform:
         choice = star.choice
         # class points of {0,1} and {2,3} sit at the image of the least
         # value of the far block
-        assert star.space.d[4][5] == choice.forward(Fraction(5))
+        assert star.space.d[4][5] == choice.sigma.values[S.values.index(5)]
         for x in range(4):
             own = 4 if x < 2 else 5
             other = 9 - own
@@ -451,7 +437,7 @@ class TestStarTransform:
 
     def test_output_spectrum_one_block(self):
         star = star_transform(fixture_space())
-        assert len(blocks(star.space.dset).nontrivial) == 1
+        assert len(blocks(star.space.dset).blocks[1:]) == 1
 
     def test_identity_lift(self):
         star = star_transform(fixture_space())
@@ -535,7 +521,7 @@ class TestRecovery:
     def test_double_link_is_integrity_error(self):
         choice = choose_sigma(S)
         eps, zeta = choice.eps, choice.zeta
-        sigma1 = choice.forward(Fraction(5))
+        sigma1 = choice.sigma.values[S.values.index(5)]
         # one base point at the eps level from BOTH designated points
         w = FinMetricSpace.make(choice.sigma, [
             [0, eps, eps],
@@ -544,39 +530,6 @@ class TestRecovery:
         ])
         with pytest.raises(IntegrityError):
             recover_quotient_space(w, (1, 2), choice)
-
-
-class TestRescale:
-    def test_identity(self):
-        m = FinMetricSpace.make([0, 1, 2], [[0, 1, 2], [1, 0, 2], [2, 2, 0]])
-        out = rescale(m, [(0, 0), (1, 1), (2, 2)], m.dset)
-        assert out == m
-
-    def test_spec_example(self):
-        m = FinMetricSpace.make([0, 1, 2], [[0, 1, 2], [1, 0, 2], [2, 2, 0]])
-        assert is_ultrametric(m)
-        target = DistanceSet.make([0, 3, 7])
-        out = rescale(m, [(0, 0), (1, 3), (2, 7)], target)
-        assert out.d == ((Fraction(0), Fraction(3), Fraction(7)),
-                         (Fraction(3), Fraction(0), Fraction(7)),
-                         (Fraction(7), Fraction(7), Fraction(0)))
-        assert is_ultrametric(out)
-
-    def test_equilateral(self):
-        m = FinMetricSpace.make([0, 4], [[0, 4, 4], [4, 0, 4], [4, 4, 0]])
-        out = rescale(m, [(0, 0), (4, 9)], DistanceSet.make([0, 9]))
-        assert set(out.spectre()) == {Fraction(0), Fraction(9)}
-
-    def test_target_of_another_size_rejected(self):
-        m = FinMetricSpace.make([0, 1, 2], [[0, 1, 2], [1, 0, 2], [2, 2, 0]])
-        with pytest.raises(MetricError):
-            rescale(m, [(0, 0), (1, 3), (2, 7)], DistanceSet.make([0, 3, 7, 9]))
-
-    def test_non_ultrametric_rejected(self):
-        m = FinMetricSpace.make([0, 1, 2], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-        assert not is_ultrametric(m)
-        with pytest.raises(MetricError):
-            rescale(m, [(0, 0), (1, 1), (2, 5)], DistanceSet.make([0, 1, 5]))
 
 
 class TestKGraphEncoding:
@@ -669,7 +622,8 @@ class TestNoModuleStateKeepsSets:
         mp = space(s, [[0, 5, 1], [5, 0, 5], [1, 5, 0]])
         mpp = space(s, [[0, 5, 6], [5, 0, 2], [6, 2, 0]])
         assert is_compact(s)[0] and not is_compact(loose)[0]
-        assert check_4values(s)[0] and jump_numbers(s) == s.values[::2]
+        # blocks' cache keeps the sets it saw; its uncached body does not
+        assert check_4values(s)[0] and blocks.__wrapped__(s).jumps == s.values[::2]
         assert classify_triple(s, *s.values[2:]) == ISOSCELES
         amalgam, _, _ = sap_amalgamate_metL(m, mp, mpp, (0, 1), (0, 1), m)
         star = star_transform(amalgam)

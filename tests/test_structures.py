@@ -26,8 +26,6 @@ from ramsey_forge.structures import (
     compose,
     enumerate_embeddings,
     first_embedding,
-    identity_embedding,
-    inclusion_of_restriction,
     is_embedding,
     reduct,
     restriction,
@@ -251,8 +249,8 @@ class TestComposition:
     def test_identity_neutral(self):
         a, b = catalog.path_graph(2), catalog.path_graph(4)
         for f in enumerate_embeddings(a, b):
-            assert compose(f, identity_embedding(a)).map == f.map
-            assert compose(identity_embedding(b), f).map == f.map
+            assert compose(f, Embedding(a, a, tuple(range(a.size)))).map == f.map
+            assert compose(Embedding(b, b, tuple(range(b.size))), f).map == f.map
 
 
 class TestRestriction:
@@ -276,7 +274,7 @@ class TestRestriction:
                   catalog.permutation_structure([3, 0, 2, 1])]:
             for r in range(1, s.size):
                 for subset in itertools.combinations(range(s.size), r):
-                    inc = inclusion_of_restriction(s, subset)
+                    inc = Embedding(restriction(s, subset), s, tuple(sorted(subset)))
                     assert is_embedding(inc.map, inc.source, s)
 
 
