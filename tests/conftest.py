@@ -227,16 +227,14 @@ def every_instance_class_property(property_name, klass, max_size,
                                         True, None, tuple(undecided), checked)
 
 
-@pytest.fixture(scope="session")
-def metric_corpus():
+def spanned_amalgam_corpus():
     """Deterministic corpus of spanned-amalgamation instances (>= 100).
 
     Each entry is ``(m, mp, mpp, f, g, l)`` ready for the strong
     amalgamation: the shared space is a two-class fixture, each side adds
     points attached to chosen classes at chosen first-block distances.
+    ``tests/golden/regenerate.py`` writes a sample of it as input files.
     """
-    from fractions import Fraction
-
     from ramsey_forge import metric
 
     sets = [
@@ -278,6 +276,11 @@ def metric_corpus():
                                    (0, 1), (0, 1), l))
     assert len(corpus) >= 100
     return corpus
+
+
+@pytest.fixture(scope="session")
+def metric_corpus():
+    return spanned_amalgam_corpus()
 
 
 # ---------------------------------------------------------------------------

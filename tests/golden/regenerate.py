@@ -29,7 +29,7 @@ Each ``*.json`` file here is a list of records, one per command line: its
   ``-N`` 16 and 32, in both formats, and one kind and class whose
   signatures differ.
 - ``metric-analyze.json``: ``metric analyze`` on compact and non-compact
-  distance sets, and on malformed ones, in both formats.
+  distance sets, and on sets it rejects, in both formats.
 - ``metric-amalgamate.json`` and ``metric-star.json``: ``metric
   amalgamate`` on every eighth span of the acceptance suite's corpus of
   spanned amalgams, and ``metric star`` on the amalgams it reports, with
@@ -49,12 +49,15 @@ import itertools
 import json
 import os
 import random
+import sys
 from pathlib import Path
 
 from ramsey_forge import catalog, cli, metric, universes
 from ramsey_forge.structures import enumerate_embeddings, structure_to_dict
 
 HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent))
+from conftest import spanned_amalgam_corpus  # noqa: E402  (criterion 8's corpus)
 PROPERTIES = ("HP", "JEP", "AP", "SAP")
 FORMATS = ("json", "text")
 
@@ -126,28 +129,6 @@ DISTANCE_SETS = ("0,1", "0,1,3", "0,1,2,5,6", "0,1,3,7", "0,2,3,7,8",
 BAD_SETS = ("0", "1,2", "0,0,1", "0,x", "0,1/0")
 
 
-def spanned_amalgam_spans():
-    """The acceptance suite's corpus of spans ``(M, M', M'', L)`` for
-    spanned strong amalgamation, in its order: a two-point shared space
-    whose distance lies past the first block, each side adding a point at
-    a first-block distance from one of its two classes."""
-    for values in ((0, 1, 2, 5, 6), (0, 1, 3), (0, 1, 3, 7), (0, 2, 3, 7, 8),
-                   (0, 1, 2, 5, 6, 14)):
-        blocks = metric.blocks(metric.DistanceSet.make(values)).blocks[1:]
-        for cross in (v for blk in blocks[1:] for v in blk):
-            base = metric.FinMetricSpace.make(values, [[0, cross], [cross, 0]])
-
-            def extended(near_class, near):
-                row = [near if i == near_class else cross for i in range(2)]
-                return metric.FinMetricSpace.make(
-                    values, [[0, cross, row[0]], [cross, 0, row[1]],
-                             [row[0], row[1], 0]])
-
-            for cp, cpp in itertools.product((0, 1), repeat=2):
-                for np_, npp in itertools.product(blocks[0], repeat=2):
-                    yield base, extended(cp, np_), extended(cpp, npp), base
-
-
 def write(path: str, doc) -> str:
     (HERE / path).parent.mkdir(exist_ok=True)
     (HERE / path).write_text(json.dumps(doc, sort_keys=True) + "\n")
@@ -181,10 +162,9 @@ def metric_records() -> tuple[list[dict], list[dict], list[dict]]:
     analyze = [record(["--format", fmt, "metric", "analyze", "--set", s])
                for s in DISTANCE_SETS + BAD_SETS for fmt in FORMATS]
     amalgamate, star = [], []
-    spans = list(spanned_amalgam_spans())[::8]
-    for i, spaces in enumerate(spans):
-        paths = [write(f"metric/span{i}-{part}.json", metric.metric_to_dict(m))
-                 for part, m in zip(("M", "Mp", "Mpp", "L"), spaces)]
+    for i, (m, mp, mpp, _, _, l) in enumerate(spanned_amalgam_corpus()[::8]):
+        paths = [write(f"metric/span{i}-{part}.json", metric.metric_to_dict(s))
+                 for part, s in zip(("M", "Mp", "Mpp", "L"), (m, mp, mpp, l))]
         amalgamate.append(record(["metric", "amalgamate",
                                   *itertools.chain(*zip(
                                       ("--M", "--Mp", "--Mpp", "--L"), paths))]))

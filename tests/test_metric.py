@@ -407,13 +407,6 @@ class TestChooseSigma:
         assert len(choice.sigma) == len(S) + 2
         assert choice.sigma.values[len(S):] == (choice.eps, choice.zeta)
 
-    def test_star_maps_base_distances_by_position(self):
-        m = fixture_space()
-        star = star_transform(m)
-        sigma = star.choice.sigma.values
-        for x, y in itertools.product(range(m.size), repeat=2):
-            assert star.space.d[x][y] == sigma[S.values.index(m.d[x][y])]
-
 
 class TestStarTransform:
     def test_one_point_space(self):
@@ -434,6 +427,13 @@ class TestStarTransform:
             other = 9 - own
             assert star.space.d[x][own] == choice.eps
             assert star.space.d[x][other] == choice.zeta
+
+    def test_star_maps_base_distances_by_position(self):
+        m = fixture_space()
+        star = star_transform(m)
+        sigma = star.choice.sigma.values
+        for x, y in itertools.product(range(m.size), repeat=2):
+            assert star.space.d[x][y] == sigma[S.values.index(m.d[x][y])]
 
     def test_output_spectrum_one_block(self):
         star = star_transform(fixture_space())
